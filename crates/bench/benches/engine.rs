@@ -11,6 +11,9 @@
 //! * `timer-heavy` — many self-scheduling tickers interleaved in one
 //!   calendar, the shape of a wide dumbbell (every sender and receiver
 //!   holding its own timer).
+//! * `packet-path` — a real dumbbell (2 TFRC + 2 TCP flows over RED)
+//!   run for a fixed event count: the calendar, dispatch and every
+//!   network and protocol handler together, as the catalogue runs them.
 //!
 //! The CI-tracked absolute sweep numbers come from
 //! `repro bench-runner` (`BENCH_runner.json`, gated against
@@ -18,6 +21,8 @@
 //! overhead in isolation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use ebrc_experiments::figures::lab::lab_queues;
+use ebrc_experiments::scenarios::{DumbbellConfig, DumbbellRun, QueueSpec};
 use ebrc_sim::{
     Calendar, Component, ComponentId, Context, Engine, HeapCalendar, Scheduled, WheelCalendar,
 };
@@ -153,13 +158,34 @@ fn bench_timer_heavy(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_packet_path(c: &mut Criterion) {
+    const PACKET_EVENTS: u64 = 200_000;
+    let red = lab_queues()
+        .into_iter()
+        .find_map(|(_, q)| matches!(q, QueueSpec::Red(_)).then_some(q))
+        .expect("the lab queues include RED");
+    let cfg = DumbbellConfig::lab_paper(2, red, 1);
+    let mut g = c.benchmark_group("packet-path");
+    g.throughput(Throughput::Elements(PACKET_EVENTS));
+    g.bench_function("dumbbell_red_2tfrc_2tcp_200k", |b| {
+        b.iter(|| {
+            let mut run = DumbbellRun::build(&cfg);
+            // The flows never stop, so the budget always runs out.
+            assert_eq!(run.engine.run_events(PACKET_EVENTS), PACKET_EVENTS);
+            black_box(run.engine.now())
+        })
+    });
+    g.finish();
+}
+
 /// Schedule/pop throughput of a calendar backend under the classic
 /// "hold model": fill to `pending` events, then for each measured
 /// element pop the head and push a replacement a pseudo-random offset
 /// into the future. This is the steady-state shape of a many-flow
 /// dumbbell — a large stable population of pending timers churning at
 /// the head — and the workload where the timer wheel's O(1)
-/// schedule/pop separates from the binary heap's O(log n).
+/// schedule/pop separates from the binary heap's O(log n). Pops go
+/// through `pop_before`, as the engine's dispatch loop takes them.
 fn bench_calendar_hold<C: Calendar<u64>>(c: &mut Criterion, label: &str) {
     const PENDING: usize = 100_000;
     let mut g = c.benchmark_group("calendar-hold-100k");
@@ -190,7 +216,7 @@ fn bench_calendar_hold<C: Calendar<u64>>(c: &mut Criterion, label: &str) {
     g.bench_function(label, |b| {
         b.iter(|| {
             for _ in 0..EVENTS {
-                let head = cal.pop().expect("population is stable");
+                let head = cal.pop_before(f64::INFINITY).expect("population is stable");
                 cal.push(Scheduled {
                     time: head.time + next_offset(),
                     seq,
@@ -217,6 +243,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
     targets = bench_dispatch_only, bench_fan_out_storm, bench_timer_heavy,
-        bench_calendar_heap, bench_calendar_wheel
+        bench_packet_path, bench_calendar_heap, bench_calendar_wheel
 }
 criterion_main!(benches);

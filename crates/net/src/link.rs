@@ -1,11 +1,10 @@
 //! An output-queued link: queue discipline + serializing transmitter +
 //! propagation delay.
 
-use crate::packet::{FlowId, NetEvent, Packet};
+use crate::packet::{FlowId, FlowTable, NetEvent, Packet};
 use crate::queue::{AqmQueue, QueueStats};
 use ebrc_dist::Rng;
 use ebrc_sim::{Component, ComponentId, Context};
-use std::collections::HashMap;
 
 /// Aggregate link counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,9 +32,9 @@ pub struct LinkQueue {
     in_flight: Option<Packet>,
     tx_started: f64,
     stats: LinkStats,
-    departures: HashMap<FlowId, u64>,
-    drops: HashMap<FlowId, u64>,
-    /// Running drop total across all flows — the per-flow map summed
+    departures: FlowTable<u64>,
+    drops: FlowTable<u64>,
+    /// Running drop total across all flows — the per-flow table summed
     /// would be O(flows) per sample, too slow for the trace hook.
     total_drops: u64,
 }
@@ -59,8 +58,8 @@ impl LinkQueue {
             in_flight: None,
             tx_started: 0.0,
             stats: LinkStats::default(),
-            departures: HashMap::new(),
-            drops: HashMap::new(),
+            departures: FlowTable::default(),
+            drops: FlowTable::default(),
             total_drops: 0,
         }
     }
@@ -88,12 +87,12 @@ impl LinkQueue {
 
     /// Packets of `flow` that left the link.
     pub fn departures(&self, flow: FlowId) -> u64 {
-        self.departures.get(&flow).copied().unwrap_or(0)
+        self.departures.get(flow)
     }
 
     /// Packets of `flow` dropped by the discipline.
     pub fn drops(&self, flow: FlowId) -> u64 {
-        self.drops.get(&flow).copied().unwrap_or(0)
+        self.drops.get(flow)
     }
 
     /// Packets dropped across all flows.
@@ -130,7 +129,7 @@ impl Component<NetEvent> for LinkQueue {
                         ctx.trace_counter("qlen", self.queue.len() as f64);
                     }
                     Err(_dropped) => {
-                        *self.drops.entry(flow).or_insert(0) += 1;
+                        *self.drops.get_mut(flow) += 1;
                         self.total_drops += 1;
                         ctx.trace_counter("drops", self.total_drops as f64);
                     }
@@ -144,7 +143,7 @@ impl Component<NetEvent> for LinkQueue {
                 self.stats.transmitted += 1;
                 self.stats.bytes += pkt.size as u64;
                 self.stats.busy_time += now - self.tx_started;
-                *self.departures.entry(pkt.flow).or_insert(0) += 1;
+                *self.departures.get_mut(pkt.flow) += 1;
                 let next = self.next_hop.expect("link next hop not wired");
                 ctx.send(self.prop_delay, next, NetEvent::Packet(pkt));
                 self.start_tx(now, ctx);
@@ -243,6 +242,58 @@ mod tests {
         assert_eq!(s.arrivals.len(), 6);
         // Conservation: transmitted + dropped = offered.
         assert_eq!(l.link_stats().transmitted + l.drops(FlowId(1)), 20);
+    }
+
+    #[test]
+    fn per_flow_counters_agree_with_a_hash_map_reference_over_wide_flow_ids() {
+        use std::collections::HashMap;
+        let mut eng: Engine<NetEvent> = Engine::new();
+        // 500-byte packets at 2 Mb/s: 500 pps against ~4.8k offered in
+        // one second, so every flow sees departures, drops or both.
+        let link = eng.add(Box::new(LinkQueue::new(
+            Box::new(DropTailQueue::new(20)),
+            2e6,
+            0.0,
+            Rng::seed_from(5),
+        )));
+        let sink = eng.add(Box::new(Sink::new()));
+        eng.get_mut::<LinkQueue>(link).set_next_hop(sink);
+        let ids = crate::demux::tests::wide_flow_ids();
+        let mut offered: HashMap<FlowId, u64> = HashMap::new();
+        let mut state = 0x5eed_u64;
+        for round in 0..3u64 {
+            for &flow in &ids {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let t = (state >> 11) as f64 / (1u64 << 53) as f64;
+                eng.schedule(
+                    t,
+                    link,
+                    NetEvent::Packet(Packet::data(flow, round, 500, 0.0)),
+                );
+                *offered.entry(flow).or_insert(0) += 1;
+            }
+        }
+        eng.run_until(100.0);
+        let mut departed: HashMap<FlowId, u64> = HashMap::new();
+        for (_, pkt) in &eng.get::<Sink>(sink).arrivals {
+            *departed.entry(pkt.flow).or_insert(0) += 1;
+        }
+        let l: &LinkQueue = eng.get(link);
+        let (mut any_dropped, mut any_departed) = (0, 0);
+        for &flow in &ids {
+            let dep = departed.get(&flow).copied().unwrap_or(0);
+            assert_eq!(l.departures(flow), dep, "departures of {flow:?}");
+            assert_eq!(l.drops(flow), offered[&flow] - dep, "drops of {flow:?}");
+            any_dropped += u64::from(l.drops(flow) > 0);
+            any_departed += u64::from(dep > 0);
+        }
+        assert!(any_dropped > 100 && any_departed > 100);
+        assert_eq!(l.departures(FlowId(3)), 0, "unseen flows read zero");
+        assert_eq!(l.drops(FlowId(u32::MAX - 1)), 0);
+        assert_eq!(
+            l.total_drops(),
+            ids.iter().map(|&f| l.drops(f)).sum::<u64>()
+        );
     }
 
     #[test]

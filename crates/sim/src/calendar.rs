@@ -1,11 +1,12 @@
 //! Pluggable event calendars: the pending-event set behind the engine.
 //!
-//! The dispatch loop only ever asks three things of its calendar: accept
-//! an event ([`Calendar::push`]), report the earliest pending time
-//! ([`Calendar::next_time`]), and surrender the earliest event
-//! ([`Calendar::pop`]) — where *earliest* means minimal `(time, seq)`,
-//! the total order that makes simultaneous events fire in scheduling
-//! order and replays bit-exact.
+//! The dispatch loop only ever asks two things of its calendar: accept
+//! an event ([`Calendar::push`]) and surrender the earliest event if it
+//! is due by a horizon ([`Calendar::pop_before`]) — where *earliest*
+//! means minimal `(time, seq)`, the total order that makes simultaneous
+//! events fire in scheduling order and replays bit-exact. Callers that
+//! only peek use [`Calendar::next_time`]; [`Calendar::pop`] is the
+//! unbounded pop.
 //!
 //! Two implementations share that contract:
 //!
@@ -98,6 +99,22 @@ pub trait Calendar<E> {
     /// The delivery time of the event [`Calendar::pop`] would return,
     /// without removing it. `None` when empty.
     fn next_time(&mut self) -> Option<f64>;
+
+    /// Removes and returns the earliest pending event if its time is at
+    /// or before `horizon` (inclusive, like `Engine::run_until`). `None`
+    /// when the calendar is empty or the head lies strictly beyond
+    /// `horizon`, in which case the pending set is unchanged.
+    ///
+    /// This is the dispatch loop's one call per event: the default
+    /// peeks then pops, which the wheel overrides so the head is
+    /// located once instead of twice.
+    fn pop_before(&mut self, horizon: f64) -> Option<Scheduled<E>> {
+        match self.next_time() {
+            Some(t) if t > horizon => None,
+            Some(_) => self.pop(),
+            None => None,
+        }
+    }
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -226,15 +243,14 @@ pub struct WheelCalendar<E> {
 
 impl<E> WheelCalendar<E> {
     /// Maps a time to its absolute tick, saturating at the ends.
+    ///
+    /// The float-to-int `as` cast truncates toward zero and saturates:
+    /// negatives, `-0.0` and NaN map to 0, and anything at or beyond
+    /// 2⁶⁴ (including `+inf`) to `u64::MAX`. On the non-negative range
+    /// truncation is `floor`, so this is exactly the floor-and-clamp
+    /// mapping without a libm call or branches.
     fn raw_tick(&self, time: f64) -> u64 {
-        let t = (time * self.inv_width).floor();
-        if t <= 0.0 {
-            0
-        } else if t >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            t as u64
-        }
+        (time * self.inv_width) as u64
     }
 
     /// First tick *outside* the ring's current window.
@@ -375,9 +391,12 @@ impl<E> WheelCalendar<E> {
     /// amortizes the O(pending) rebuild.
     fn bucket_concentrated(&self, b: usize) -> bool {
         let blen = self.buckets[b].len();
+        if blen < CONCENTRATED_BUCKET {
+            return false;
+        }
         let total = self.len();
         let avg = (total / self.buckets.len()).max(1);
-        if blen < CONCENTRATED_BUCKET || blen < avg * 8 || self.pops_since_rebuild < total as u64 {
+        if blen < avg * 8 || self.pops_since_rebuild < total as u64 {
             return false;
         }
         let mut lo = f64::INFINITY;
@@ -426,7 +445,7 @@ impl<E> WheelCalendar<E> {
                         // The calibrated common case: a couple of
                         // events in the tick. A linear min-scan beats
                         // any sort or heap shuffle.
-                        return Location::Bucket(b);
+                        return Location::Bucket(b, Self::bucket_min(&self.buckets[b]));
                     }
                     // A big tick — a same-time burst or a zero-delay
                     // chain magnet. Serve it through the head heap:
@@ -475,14 +494,26 @@ impl<E> WheelCalendar<E> {
         }
         mi
     }
+
+    /// Delivery time of the event at a fresh [`WheelCalendar::locate`]
+    /// result.
+    fn time_at(&self, loc: Location) -> f64 {
+        match loc {
+            Location::Head => self.head.peek().expect("located head").time,
+            Location::Bucket(b, i) => self.buckets[b][i].time,
+            Location::Overflow => self.overflow.peek().expect("located overflow").time,
+        }
+    }
 }
 
 /// Where [`WheelCalendar::locate`] found the global minimum.
+#[derive(Clone, Copy)]
 enum Location {
     /// Top of the `head` heap.
     Head,
-    /// Inside this small ring bucket (unordered; min-scan to serve).
-    Bucket(usize),
+    /// Ring bucket `.0` (small and unordered), at index `.1`: the
+    /// bucket's min-scan result.
+    Bucket(usize, usize),
     /// Head of the overflow heap (non-finite or beyond-window times).
     Overflow,
 }
@@ -537,32 +568,33 @@ impl<E> Calendar<E> for WheelCalendar<E> {
     }
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.len() == 0 {
-            return None;
-        }
-        self.pops_since_rebuild = self.pops_since_rebuild.saturating_add(1);
-        match self.locate() {
-            Location::Head => self.head.pop(),
-            Location::Bucket(b) => {
-                let mi = Self::bucket_min(&self.buckets[b]);
-                self.wheel_len -= 1;
-                Some(self.buckets[b].swap_remove(mi))
-            }
-            Location::Overflow => self.overflow.pop(),
-        }
+        self.pop_before(f64::INFINITY)
     }
 
     fn next_time(&mut self) -> Option<f64> {
         if self.len() == 0 {
             return None;
         }
-        match self.locate() {
-            Location::Head => self.head.peek().map(|s| s.time),
-            Location::Bucket(b) => {
-                let mi = Self::bucket_min(&self.buckets[b]);
-                Some(self.buckets[b][mi].time)
+        let loc = self.locate();
+        Some(self.time_at(loc))
+    }
+
+    fn pop_before(&mut self, horizon: f64) -> Option<Scheduled<E>> {
+        if self.len() == 0 {
+            return None;
+        }
+        let loc = self.locate();
+        if self.time_at(loc) > horizon {
+            return None;
+        }
+        self.pops_since_rebuild = self.pops_since_rebuild.saturating_add(1);
+        match loc {
+            Location::Head => self.head.pop(),
+            Location::Bucket(b, i) => {
+                self.wheel_len -= 1;
+                Some(self.buckets[b].swap_remove(i))
             }
-            Location::Overflow => self.overflow.peek().map(|s| s.time),
+            Location::Overflow => self.overflow.pop(),
         }
     }
 
@@ -695,6 +727,90 @@ mod tests {
         let order = drain(&mut cal);
         assert_eq!(order.len(), 64 + 4000);
         assert_sorted(&order);
+    }
+
+    #[test]
+    fn raw_tick_cast_equals_floor_and_clamp() {
+        // The mapping `raw_tick` replaced: floor, then clamp into u64.
+        fn floor_tick(time: f64, inv_width: f64) -> u64 {
+            let t = (time * inv_width).floor();
+            if t <= 0.0 {
+                0
+            } else if t >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                t as u64
+            }
+        }
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let times = [
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0, // subnormal
+            5e-324,                  // smallest subnormal
+            0.999_999_999_999_999_9,
+            1.0,
+            1.5,
+            123.456,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            2f64.powi(63),
+            two64 - 2048.0, // largest f64 below 2^64
+            two64,
+            two64 * 2.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        for inv_width in [1.0, 0.37, 1e3, 1e12] {
+            cal.inv_width = inv_width;
+            for t in times {
+                assert_eq!(
+                    cal.raw_tick(t),
+                    floor_tick(t, inv_width),
+                    "time {t:e} at inv_width {inv_width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pop_before_is_inclusive_and_leaves_a_refusal_untouched() {
+        let mut wheel: WheelCalendar<u32> = Calendar::with_capacity(0);
+        let mut heap: HeapCalendar<u32> = Calendar::with_capacity(0);
+        for (i, t) in [2.0, 1.0, 1.0, 1e9, f64::INFINITY].into_iter().enumerate() {
+            wheel.push(ev(t, i as u64));
+            heap.push(ev(t, i as u64));
+        }
+        for cal in [&mut wheel as &mut dyn Calendar<u32>, &mut heap] {
+            assert!(cal.pop_before(0.5).is_none());
+            assert_eq!(cal.len(), 5, "a refused pop removes nothing");
+            assert_eq!(
+                cal.pop_before(1.0).map(|s| s.seq),
+                Some(1),
+                "horizon is inclusive"
+            );
+            assert_eq!(cal.pop_before(1.0).map(|s| s.seq), Some(2));
+            assert!(cal.pop_before(1.999).is_none());
+            assert_eq!(cal.pop_before(2.0).map(|s| s.seq), Some(0));
+            assert!(cal.pop_before(f64::MAX).is_some_and(|s| s.time == 1e9));
+            assert!(
+                cal.pop_before(f64::MAX).is_none(),
+                "+inf lies beyond every finite horizon"
+            );
+            assert_eq!(cal.pop_before(f64::INFINITY).map(|s| s.seq), Some(4));
+            assert!(cal.pop_before(f64::INFINITY).is_none());
+            assert!(cal.is_empty());
+        }
     }
 
     #[test]

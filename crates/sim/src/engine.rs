@@ -214,7 +214,7 @@ pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     clock: f64,
     seq: u64,
     queue: C,
-    components: Vec<Option<Box<dyn Component<E>>>>,
+    components: Vec<Box<dyn Component<E>>>,
     /// Reusable emission buffer lent to the [`Context`] per dispatch —
     /// the steady-state hot loop never allocates.
     scratch: Vec<(f64, ComponentId, E)>,
@@ -285,7 +285,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
 
     /// Registers a component, returning its id.
     pub fn add(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
-        self.components.push(Some(component));
+        self.components.push(component);
         ComponentId(self.components.len() - 1)
     }
 
@@ -363,12 +363,13 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
             if self.processed - before >= max_events {
                 break StopReason::Budget;
             }
-            match self.queue.next_time() {
-                None => break StopReason::Idle,
-                Some(head_time) if head_time > t_end => break StopReason::Horizon,
-                Some(_) => {}
-            }
-            let item = self.queue.pop().expect("peeked");
+            let Some(item) = self.queue.pop_before(t_end) else {
+                break if self.queue.is_empty() {
+                    StopReason::Idle
+                } else {
+                    StopReason::Horizon
+                };
+            };
             debug_assert!(item.time >= self.clock, "time went backwards");
             self.clock = item.time;
             self.dispatch(item);
@@ -417,13 +418,10 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
             emitted: std::mem::take(&mut self.scratch),
             tracer: self.tracer.take(),
         };
-        // Take the component out so it cannot alias the engine while it
-        // runs; events it emits are buffered in the context.
-        let mut component = self.components[item.target]
-            .take()
-            .expect("component re-entered — a handler scheduled into itself synchronously?");
-        component.handle(self.clock, item.event, &mut ctx);
-        self.components[item.target] = Some(component);
+        // The handler borrows its component in place: the context owns
+        // everything it reaches (the loaned buffer and sink), so nothing
+        // a handler can call aliases the component slab.
+        self.components[item.target].handle(self.clock, item.event, &mut ctx);
         self.tracer = ctx.tracer;
         let mut emitted = ctx.emitted;
         for (delay, target, event) in emitted.drain(..) {
@@ -444,7 +442,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// # Panics
     /// Panics if the id is unknown or the type does not match.
     pub fn get<T: Component<E>>(&self, id: ComponentId) -> &T {
-        let component: &dyn Any = &**self.components[id.0].as_ref().expect("component missing");
+        let component: &dyn Any = &*self.components[id.0];
         component
             .downcast_ref::<T>()
             .expect("component type mismatch")
@@ -455,8 +453,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// # Panics
     /// Panics if the id is unknown or the type does not match.
     pub fn get_mut<T: Component<E>>(&mut self, id: ComponentId) -> &mut T {
-        let component: &mut dyn Any =
-            &mut **self.components[id.0].as_mut().expect("component missing");
+        let component: &mut dyn Any = &mut *self.components[id.0];
         component
             .downcast_mut::<T>()
             .expect("component type mismatch")
@@ -676,6 +673,53 @@ mod tests {
             }
         );
         assert_eq!(eng.now(), 100.0);
+    }
+
+    #[test]
+    fn an_event_exactly_at_the_horizon_dispatches_under_every_stop_reason() {
+        let outcome = |events, reason| RunOutcome { events, reason };
+        // Idle: the last event sits exactly at the horizon.
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        eng.schedule(2.0, rec, Ev::Ping(0));
+        assert_eq!(
+            eng.run_budgeted(RunLimit::new(2.0, 10)),
+            outcome(1, StopReason::Idle)
+        );
+        assert_eq!(eng.now(), 2.0);
+        // Horizon: the event at the horizon fires, the one just past it
+        // waits.
+        eng.schedule(1.0, rec, Ev::Ping(1));
+        eng.schedule(1.0 + 1e-9, rec, Ev::Ping(2));
+        assert_eq!(
+            eng.run_budgeted(RunLimit::new(3.0, 10)),
+            outcome(1, StopReason::Horizon)
+        );
+        assert_eq!(eng.now(), 3.0);
+        // Budget: it runs out on an event at the horizon while another
+        // is still due there.
+        eng.schedule(1.0, rec, Ev::Ping(3));
+        eng.schedule(1.0, rec, Ev::Ping(4));
+        assert_eq!(
+            eng.run_budgeted(RunLimit::new(4.0, 2)),
+            outcome(2, StopReason::Budget)
+        );
+        assert_eq!(eng.now(), 4.0, "clock at the last dispatched event");
+        assert_eq!(
+            eng.run_budgeted(RunLimit::new(4.0, 2)),
+            outcome(1, StopReason::Idle)
+        );
+        let seen: Vec<Ev> = eng
+            .get::<Recorder>(rec)
+            .log
+            .iter()
+            .map(|(_, e)| e.clone())
+            .collect();
+        assert_eq!(
+            seen,
+            [0, 1, 2, 3, 4].map(Ev::Ping).to_vec(),
+            "every event fires once, in (time, seq) order"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! deterministically, exactly once.
 
 use ebrc_sim::{
-    Calendar, Component, Context, Engine, HeapCalendar, RunLimit, StopReason, WheelCalendar,
+    Calendar, Component, Context, Engine, HeapCalendar, RunLimit, Scheduled, StopReason,
+    WheelCalendar,
 };
 use proptest::prelude::*;
 
@@ -383,5 +384,96 @@ proptest! {
             prop_assert_eq!(w.0.to_bits(), h.0.to_bits(), "time diverged at dispatch {}", i);
             prop_assert_eq!(w.1, h.1, "event diverged at dispatch {}", i);
         }
+    }
+}
+
+/// One step of a direct calendar workload.
+#[derive(Debug, Clone)]
+enum CalOp {
+    /// Push an event `delay` after the last popped time.
+    Push(f64),
+    Pop,
+    /// `pop_before(head + offset)`: a negative offset puts the horizon
+    /// before the head, zero exactly at it, a positive one after it.
+    PopBefore(f64),
+}
+
+fn arb_cal_ops() -> impl Strategy<Value = Vec<CalOp>> {
+    let one = prop_oneof![
+        4 => (0.0f64..20.0).prop_map(|d| vec![CalOp::Push(d)]),
+        // Same-timestamp burst.
+        1 => (0.0f64..20.0, 2usize..6).prop_map(|(d, k)| vec![CalOp::Push(d); k]),
+        // Far-future outlier through the overflow heap.
+        1 => (1.0e4f64..1.0e7).prop_map(|d| vec![CalOp::Push(d)]),
+        2 => Just(vec![CalOp::Pop]),
+        2 => (-5.0f64..-1e-9).prop_map(|o| vec![CalOp::PopBefore(o)]),
+        2 => Just(vec![CalOp::PopBefore(0.0)]),
+        2 => (1e-9f64..5.0).prop_map(|o| vec![CalOp::PopBefore(o)]),
+    ];
+    proptest::collection::vec(one, 1..80).prop_map(|chunks| chunks.concat())
+}
+
+fn key(s: Scheduled<u32>) -> (u64, u64) {
+    (s.time.to_bits(), s.seq)
+}
+
+proptest! {
+    /// Property: `pop_before` on the wheel is observationally identical
+    /// to the heap — the same `(time, seq)` stream under arbitrary
+    /// interleavings of push, pop and horizon-bounded pops with the
+    /// horizon before, exactly at (inclusive) and after the head — and a
+    /// refused `pop_before` changes neither `len()` nor the next pop.
+    #[test]
+    fn wheel_pop_before_is_identical_to_heap(ops in arb_cal_ops()) {
+        let mut wheel: WheelCalendar<u32> = Calendar::with_capacity(16);
+        let mut heap: HeapCalendar<u32> = Calendar::with_capacity(16);
+        let mut clock = 0.0f64;
+        let mut seq = 0u64;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                CalOp::Push(delay) => {
+                    for cal in [&mut wheel as &mut dyn Calendar<u32>, &mut heap] {
+                        cal.push(Scheduled { time: clock + delay, seq, target: 0, event: seq as u32 });
+                    }
+                    seq += 1;
+                }
+                CalOp::Pop => {
+                    let (w, h) = (wheel.pop(), heap.pop());
+                    if let Some(h) = &h {
+                        clock = h.time;
+                    }
+                    prop_assert_eq!(w.map(key), h.map(key), "pop diverged at step {}", step);
+                }
+                CalOp::PopBefore(offset) => {
+                    let head = heap.next_time();
+                    let horizon = head.map_or(clock, |t| t + offset);
+                    let len = heap.len();
+                    let (w, h) = (wheel.pop_before(horizon), heap.pop_before(horizon));
+                    let due = head.is_some_and(|t| t <= horizon);
+                    prop_assert_eq!(h.is_some(), due, "heap ignored the horizon at step {}", step);
+                    match (w, h) {
+                        (Some(w), Some(h)) => {
+                            clock = h.time;
+                            prop_assert_eq!(key(w), key(h), "pop_before diverged at step {}", step);
+                        }
+                        (None, None) => {
+                            prop_assert_eq!(wheel.len(), len, "refusal changed len at step {}", step);
+                            prop_assert_eq!(heap.len(), len);
+                            prop_assert_eq!(
+                                wheel.next_time().map(f64::to_bits),
+                                head.map(f64::to_bits),
+                                "refusal moved the head at step {}", step
+                            );
+                        }
+                        (w, _) => prop_assert!(false, "emptiness diverged at step {}: wheel {}", step, w.is_some()),
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.len(), heap.len(), "len diverged after step {} ({:?})", step, op);
+        }
+        while let Some(h) = heap.pop() {
+            prop_assert_eq!(wheel.pop().map(key), Some(key(h)), "drain diverged");
+        }
+        prop_assert!(wheel.pop().is_none());
     }
 }

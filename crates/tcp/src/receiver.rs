@@ -105,7 +105,7 @@ impl TcpSink {
                 flow: self.flow,
                 seq: self.acks_sent,
                 size: ACK_SIZE,
-                kind: PacketKind::Ack(info),
+                kind: PacketKind::Ack(Box::new(info)),
                 sent_at: now,
             }),
         );
@@ -116,7 +116,11 @@ impl TcpSink {
         self.last_echo = (pkt.seq, pkt.sent_at);
         let in_order = pkt.seq == self.cum_ack;
         let had_buffered_gap = !self.out_of_order.is_empty();
-        if pkt.seq >= self.cum_ack {
+        if in_order && !had_buffered_gap {
+            // The common case: nothing buffered, so the cumulative point
+            // just steps (no set node to allocate and free).
+            self.cum_ack += 1;
+        } else if pkt.seq >= self.cum_ack {
             self.out_of_order.insert(pkt.seq);
             // Advance the cumulative point over any filled prefix.
             while self.out_of_order.remove(&self.cum_ack) {
@@ -192,7 +196,7 @@ mod tests {
             .arrivals
             .iter()
             .filter_map(|(_, p)| match &p.kind {
-                PacketKind::Ack(a) => Some(a.clone()),
+                PacketKind::Ack(a) => Some(AckInfo::clone(a)),
                 _ => None,
             })
             .collect()
@@ -263,6 +267,56 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].echo_seq, 1);
         assert!((a[0].echo_ts - 0.45).abs() < 1e-12);
+    }
+
+    /// One emitted ACK: emit time, `cum_ack`, SACK blocks, echoed seq.
+    type AckRow = (f64, u64, Vec<(u64, u64)>, u64);
+
+    #[test]
+    fn ack_stream_over_in_order_gap_duplicate_and_fill_arrivals() {
+        let (mut eng, sink, ack_sink) = setup();
+        let arrivals = [
+            (0.000, 0u64), // in order: delayed, timer armed
+            (0.001, 1),    // second segment: ACK now
+            (0.002, 3),    // gap: immediate dupack with SACK
+            (0.003, 4),    // extends the SACK block
+            (0.004, 1),    // duplicate below cum_ack
+            (0.005, 3),    // duplicate inside the SACK block
+            (0.006, 2),    // fills the gap: cum_ack jumps
+            (0.007, 5),    // in order again: delayed until the timer
+            (0.200, 6),    // in order, timer armed…
+            (0.250, 7),    // …and beaten by the second segment
+        ];
+        for (t, seq) in arrivals {
+            eng.schedule(t, sink, data(seq, t));
+        }
+        eng.run_until(1.0);
+        let got: Vec<AckRow> = eng
+            .get::<Sink>(ack_sink)
+            .arrivals
+            .iter()
+            .map(|(t, p)| match &p.kind {
+                PacketKind::Ack(a) => (*t, a.cum_ack, a.sack.clone(), a.echo_seq),
+                other => panic!("not an ACK: {other:?}"),
+            })
+            .collect();
+        let expected: Vec<AckRow> = vec![
+            (0.001, 2, vec![], 1),
+            (0.002, 2, vec![(3, 4)], 3),
+            (0.003, 2, vec![(3, 5)], 4),
+            (0.004, 2, vec![(3, 5)], 1),
+            (0.005, 2, vec![(3, 5)], 3),
+            (0.006, 5, vec![], 2),
+            (0.007 + 0.1, 6, vec![], 5),
+            (0.250, 8, vec![], 7),
+        ];
+        assert_eq!(got.len(), expected.len(), "ACKs: {got:?}");
+        for (g, e) in got.iter().zip(&expected) {
+            assert!((g.0 - e.0).abs() < 1e-12, "emit time {g:?} vs {e:?}");
+            assert_eq!((g.1, &g.2, g.3), (e.1, &e.2, e.3));
+        }
+        let s: &TcpSink = eng.get(sink);
+        assert_eq!((s.cum_ack(), s.received(), s.acks_sent()), (8, 10, 8));
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl Component<NetEvent> for TfrcSender {
                     if self.started {
                         let events_before = self.stats.loss_events;
                         let rate_before = self.rate;
-                        self.on_feedback(now, &fb.clone());
+                        self.on_feedback(now, fb);
                         if self.stats.loss_events > events_before {
                             ctx.trace_instant("loss-event");
                         }
