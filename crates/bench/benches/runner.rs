@@ -1,35 +1,83 @@
-//! Sweep-throughput benchmarks of the job-graph runner: jobs/sec at 1
-//! and N workers, for synthetic CPU-bound jobs and for a real
-//! experiment grid. The absolute jobs/sec numbers CI tracks come from
-//! `repro bench-runner` (BENCH_runner.json); these benches watch the
-//! pool's own overhead and scaling shape.
+//! Sweep-throughput benchmarks of the plan runner: sims/sec at 1 and N
+//! workers, for synthetic CPU-bound specs and for a real experiment
+//! grid, both through `run_plan_cached` — the executor every sweep
+//! uses. The absolute numbers CI tracks come from `repro bench-runner`
+//! (BENCH_runner.json); these benches watch the executor's own overhead
+//! and scaling shape.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ebrc_experiments::{find_experiment, Scale, MASTER_SEED};
-use ebrc_runner::{default_threads, run_specs, Pool};
+use ebrc_runner::{
+    default_threads, run_plan_cached, CacheableSpec, ExecConfig, JobCtx, Plan, Pool, Spec,
+};
 
-/// A CPU-bound synthetic job: enough work that scheduling overhead is
+/// A CPU-bound synthetic spec: enough work that scheduling overhead is
 /// visible but not dominant.
-fn spin(iters: u64, salt: u64) -> u64 {
-    let mut acc = salt;
-    for i in 0..iters {
-        acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ i;
+#[derive(Clone)]
+struct Spin {
+    iters: u64,
+    salt: u64,
+}
+
+impl Spec for Spin {
+    type Output = u64;
+
+    fn key(&self) -> String {
+        format!("spin/{}/{}", self.iters, self.salt)
     }
-    acc
+
+    fn run(&self, _ctx: &mut JobCtx) -> u64 {
+        let mut acc = self.salt;
+        for i in 0..self.iters {
+            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17) ^ i;
+        }
+        acc
+    }
+}
+
+impl CacheableSpec for Spin {
+    fn encode_output(out: &u64) -> String {
+        out.to_string()
+    }
+
+    fn decode_output(text: &str) -> Result<u64, String> {
+        text.parse().map_err(|e| format!("{e}"))
+    }
+}
+
+/// Runs every spec of `plan` on `pool`, uncached and unsliced.
+fn execute<S: CacheableSpec>(pool: &Pool, plan: &Plan<S>) -> usize {
+    let (results, _) = run_plan_cached(
+        pool,
+        MASTER_SEED,
+        plan,
+        None,
+        None,
+        ExecConfig::default(),
+        |_, _| {},
+        |_| {},
+    );
+    results.len()
 }
 
 fn bench_synthetic(c: &mut Criterion) {
-    const JOBS: usize = 64;
+    const SPECS: u64 = 64;
+    let plan = Plan::for_experiment(
+        "spin",
+        (0..SPECS)
+            .map(|salt| Spin {
+                iters: 200_000,
+                salt,
+            })
+            .collect(),
+    );
     let mut g = c.benchmark_group("runner-synthetic");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(JOBS as u64));
+    g.throughput(Throughput::Elements(SPECS));
     for threads in [1, default_threads()] {
         g.bench_function(format!("spin64/{threads}-threads"), |b| {
             let pool = Pool::new(threads);
-            b.iter(|| {
-                let tasks: Vec<_> = (0..JOBS as u64).map(|i| move || spin(200_000, i)).collect();
-                black_box(pool.run(tasks))
-            })
+            b.iter(|| black_box(execute(&pool, black_box(&plan))))
         });
     }
     g.finish();
@@ -52,14 +100,7 @@ fn bench_experiment_grid(c: &mut Criterion) {
     for threads in [1, default_threads()] {
         g.bench_function(format!("sims/{threads}-threads"), |b| {
             let pool = Pool::new(threads);
-            b.iter(|| {
-                black_box(run_specs(
-                    &pool,
-                    MASTER_SEED,
-                    black_box(plan.specs()),
-                    |_, _| {},
-                ))
-            })
+            b.iter(|| black_box(execute(&pool, black_box(&plan))))
         });
     }
     g.finish();

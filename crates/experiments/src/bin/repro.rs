@@ -58,7 +58,7 @@ use ebrc_experiments::{
     Scale, SpecOutput, MASTER_SEED,
 };
 use ebrc_runner::{
-    panic_message, run_specs_cached, CacheCounters, DirCache, ExecConfig, OutputCache, Pool,
+    panic_message, run_plan_cached, CacheCounters, DirCache, ExecConfig, OutputCache, Pool,
     Spec as _, SpecTiming, TraceConfig,
 };
 use ebrc_serve::{
@@ -504,11 +504,10 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let indices = plan.shard_indices(shard, of);
-    let specs: Vec<_> = indices.iter().map(|&i| plan.specs()[i].clone()).collect();
     let pool = Pool::new(opts.threads);
     eprintln!(
         "# shard {shard}/{of}: {} of {} unique sims, {} thread(s), scale {}",
-        specs.len(),
+        indices.len(),
         plan.unique_len(),
         pool.threads(),
         opts.scale_name,
@@ -517,17 +516,18 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
     let started = std::time::Instant::now();
     let cache = opts.cache();
     let mut exec = opts.exec();
-    match opts.trace_config(specs.len()) {
+    match opts.trace_config(indices.len()) {
         Ok(tc) => exec.trace = tc,
         Err(e) => {
             eprintln!("# error: {e}");
             return ExitCode::FAILURE;
         }
     }
-    let (results, stats) = run_specs_cached(
+    let (results, stats) = run_plan_cached(
         &pool,
         MASTER_SEED,
-        &specs,
+        &plan,
+        Some(&indices),
         cache.as_ref().map(|c| c as &dyn OutputCache),
         exec,
         |done, total| {
@@ -536,6 +536,7 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
                 let _ = std::io::stderr().flush();
             }
         },
+        |_| {},
     );
     if show_progress {
         eprintln!();
@@ -546,24 +547,32 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
 
     let mut outputs = Vec::new();
     let mut failures = Vec::new();
-    for (idx, result) in indices.iter().zip(results) {
-        let key = plan.specs()[*idx].key();
-        let hash = plan.spec_hashes()[*idx];
-        match result {
-            Ok((out, cost)) => outputs.push(Value::Object(vec![
+    for &idx in &indices {
+        let key = plan.specs()[idx].key();
+        let hash = plan.spec_hashes()[idx];
+        // Timing rows are sorted by key; a cache hit executed nothing
+        // and has none.
+        let (events, wall_s) = stats
+            .timings
+            .binary_search_by(|t| t.key.cmp(&key))
+            .map_or((0, 0.0), |i| {
+                (stats.timings[i].events, stats.timings[i].wall_s)
+            });
+        match results[idx].as_ref().expect("shard spec selected") {
+            Ok(out) => outputs.push(Value::Object(vec![
                 ("key".into(), Value::String(key)),
                 ("hash".into(), Value::String(format!("{hash:016x}"))),
                 // Engine events and wall seconds this sim cost (both 0
                 // when it was served from the cache) — the measured
                 // sweep cost a dispatcher can read back per experiment
                 // to balance the next shard assignment.
-                ("events".into(), Value::Number(cost.events as f64)),
-                ("wall_s".into(), Value::Number(cost.wall_s)),
+                ("events".into(), Value::Number(events as f64)),
+                ("wall_s".into(), Value::Number(wall_s)),
                 ("output".into(), out.to_value()),
             ])),
             Err(msg) => failures.push(Value::Object(vec![
                 ("key".into(), Value::String(key)),
-                ("error".into(), Value::String(msg)),
+                ("error".into(), Value::String(msg.clone())),
             ])),
         }
     }
@@ -596,7 +605,7 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
     eprintln!(
         "# shard {shard}/{of}: wrote {} ({} sims, {} failed, {} engine events) in {:.1?}",
         path.display(),
-        specs.len() - failed,
+        indices.len() - failed,
         failed,
         stats.events,
         started.elapsed(),

@@ -9,10 +9,12 @@
 //! fixed, thread-count-independent order. [`global_plan`] merges the
 //! catalogue into one deduplicated plan (shared scenario instances run
 //! once and fan out to every subscriber), which runs sequentially
-//! ([`Experiment::run`]), on a work-stealing pool ([`par_run`],
-//! [`par_run_all`], [`plan_run_catalogue`]), or split across hosts as
-//! deterministic shards — with byte-identical output every way. The
-//! `repro` binary runs any of it:
+//! ([`Experiment::run`]), on a work-stealing pool with an optional
+//! output cache ([`plan_run_catalogue_cached`]), or split across hosts
+//! as deterministic shards — with byte-identical output every way.
+//! Scenario specs measure through one warm-up/span driver over
+//! [`scenarios::MeasuredScenario`], monolithic or sliced. The `repro`
+//! binary runs any of it:
 //!
 //! ```text
 //! cargo run -p ebrc-experiments --release --bin repro -- list
@@ -37,9 +39,9 @@ pub mod service;
 pub mod spec;
 
 pub use registry::{
-    all_experiments, find_experiment, global_plan, par_run, par_run_all, par_run_catalogue,
-    plan_run_catalogue, plan_run_catalogue_cached, replica_seed, scale_by_name, select_experiments,
-    CatalogueRun, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale, MASTER_SEED,
+    all_experiments, find_experiment, global_plan, plan_run_catalogue_cached, replica_seed,
+    scale_by_name, select_experiments, CatalogueRun, Experiment, ExperimentFailure,
+    ExperimentReport, Plan, Scale, MASTER_SEED,
 };
 pub use series::{table_file_name, Table};
 pub use service::CatalogueBackend;

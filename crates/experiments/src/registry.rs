@@ -10,7 +10,8 @@
 //! one simulation per `(n, L, replica)` point instead of re-running
 //! it.
 //!
-//! [`plan_run_catalogue`] executes a plan on the pool and reduces each
+//! [`plan_run_catalogue_cached`] executes a plan on the pool — serving
+//! what it can from an optional output cache — and reduces each
 //! experiment *the moment its last subscribed spec completes*, handing
 //! finished reports to a dedicated writer thread (the `on_report`
 //! sink) so output spools while the rest of the grid is still
@@ -141,8 +142,8 @@ pub trait Experiment: Sync {
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table>;
 
     /// Regenerates the artifact's data sequentially: runs every unique
-    /// spec in plan order, then reduces. Byte-identical to [`par_run`]
-    /// at any thread count.
+    /// spec in plan order, then reduces. Byte-identical to
+    /// [`plan_run_catalogue_cached`] at any thread count.
     fn run(&self, scale: Scale) -> Vec<Table> {
         let plan = self.plan(scale);
         let outputs = plan.run_sequential(MASTER_SEED);
@@ -196,7 +197,7 @@ pub struct ExperimentReport {
 /// `experiments` with [`Plan::subscriptions`] index for index.
 ///
 /// # Panics
-/// Propagates a panicking `plan()` ([`plan_run_catalogue`] isolates
+/// Propagates a panicking `plan()` ([`plan_run_catalogue_cached`] isolates
 /// those per experiment instead), and panics if any experiment's
 /// `plan()` breaks the one-subscription-per-experiment contract —
 /// silently misaligning subscriptions would hand reducers another
@@ -222,42 +223,6 @@ pub fn global_plan(experiments: &[&dyn Experiment], scale: Scale) -> Plan {
     plan
 }
 
-/// Runs one experiment's plan on the pool. The tables are
-/// byte-identical to [`Experiment::run`] regardless of the pool's
-/// thread count.
-pub fn par_run(
-    exp: &dyn Experiment,
-    scale: Scale,
-    pool: &Pool,
-) -> Result<Vec<Table>, ExperimentFailure> {
-    let mut reports = par_run_catalogue(vec![exp], scale, pool, |_, _| {});
-    reports.remove(0).outcome
-}
-
-/// Runs the whole catalogue as one merged plan on the pool. A
-/// panicking spec or reducer marks only the subscribed experiment(s)
-/// failed.
-pub fn par_run_all(
-    scale: Scale,
-    pool: &Pool,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<ExperimentReport> {
-    let experiments = all_experiments();
-    let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
-    par_run_catalogue(refs, scale, pool, progress)
-}
-
-/// [`plan_run_catalogue`] without a streaming sink — for callers that
-/// only want the final reports.
-pub fn par_run_catalogue(
-    experiments: Vec<&dyn Experiment>,
-    scale: Scale,
-    pool: &Pool,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<ExperimentReport> {
-    plan_run_catalogue(experiments, scale, pool, progress, |_| {})
-}
-
 /// A catalogue run's results: per-experiment reports in catalogue
 /// order plus the run's cache effectiveness (every sim a miss when no
 /// cache was configured) and the engine events the executed sims
@@ -276,27 +241,8 @@ pub struct CatalogueRun {
     pub timings: Vec<SpecTiming>,
 }
 
-/// [`plan_run_catalogue_cached`] without a cache — the common path.
-pub fn plan_run_catalogue(
-    experiments: Vec<&dyn Experiment>,
-    scale: Scale,
-    pool: &Pool,
-    progress: impl Fn(usize, usize) + Sync,
-    on_report: impl FnMut(&ExperimentReport) + Send,
-) -> Vec<ExperimentReport> {
-    plan_run_catalogue_cached(
-        experiments,
-        scale,
-        pool,
-        None,
-        ExecConfig::default(),
-        progress,
-        on_report,
-    )
-    .reports
-}
-
-/// The merged-plan execution core.
+/// Runs a set of experiments as one merged plan on the pool — the
+/// catalogue executor behind `repro`, the daemon, and the benchmark.
 ///
 /// Builds one global plan (specs deduplicated across experiments),
 /// executes its unique specs on the pool — serving any spec whose
@@ -625,12 +571,16 @@ mod tests {
     fn a_panicking_spec_fails_only_its_subscribers() {
         let good = Fragile { broken_spec: false };
         let bad = Fragile { broken_spec: true };
-        let reports = par_run_catalogue(
+        let reports = plan_run_catalogue_cached(
             vec![&good as &dyn Experiment, &bad as &dyn Experiment],
             Scale::quick(),
             &Pool::new(2),
+            None,
+            ExecConfig::default(),
             |_, _| {},
-        );
+            |_| {},
+        )
+        .reports;
         assert!(reports[0].outcome.is_ok());
         let failure = reports[1].outcome.as_ref().unwrap_err();
         assert_eq!(failure.failed_specs.len(), 1);
@@ -642,10 +592,19 @@ mod tests {
     }
 
     #[test]
-    fn par_run_matches_sequential_run_on_a_test_double() {
+    fn pool_run_matches_sequential_run_on_a_test_double() {
         let exp = Fragile { broken_spec: false };
         let seq = exp.run(Scale::quick());
-        let par = par_run(&exp, Scale::quick(), &Pool::new(4)).unwrap();
+        let mut run = plan_run_catalogue_cached(
+            vec![&exp as &dyn Experiment],
+            Scale::quick(),
+            &Pool::new(4),
+            None,
+            ExecConfig::default(),
+            |_, _| {},
+            |_| {},
+        );
+        let par = run.reports.remove(0).outcome.unwrap();
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.to_json(), b.to_json());
@@ -694,13 +653,16 @@ mod tests {
         let a = Fragile { broken_spec: false };
         let b = Fragile { broken_spec: true };
         let mut streamed: Vec<String> = Vec::new();
-        let reports = plan_run_catalogue(
+        let reports = plan_run_catalogue_cached(
             vec![&a as &dyn Experiment, &b as &dyn Experiment],
             Scale::quick(),
             &Pool::new(2),
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |report| streamed.push(format!("{}:{}", report.id, report.outcome.is_ok())),
-        );
+        )
+        .reports;
         assert_eq!(streamed.len(), 2, "every experiment streamed once");
         assert_eq!(reports.len(), 2);
         assert!(reports[0].outcome.is_ok());

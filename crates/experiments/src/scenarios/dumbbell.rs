@@ -15,6 +15,8 @@
 //!        └────────────── [reverse delay] ◄───────────────┘  (ACKs/feedback)
 //! ```
 
+use super::MeasuredScenario;
+use crate::spec::SpecOutput;
 use ebrc_dist::Rng;
 use ebrc_net::{
     Demux, DropTailQueue, FlowId, LinkQueue, NetEvent, PoissonSender, ProbeSink, RedConfig,
@@ -358,54 +360,12 @@ impl DumbbellRun {
         }
     }
 
-    /// Installs a Perfetto trace sink on the engine, with every
-    /// component registered under a topology-meaningful track name.
-    /// Record the run, then collect the bytes with
-    /// [`DumbbellRun::take_trace`].
-    pub fn install_tracer(&mut self) {
-        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
-        sink.register(self.bottleneck, "bottleneck");
-        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
-        sink.register(fwd, "fwd-delay");
-        sink.register(fwd_demux, "fwd-demux");
-        sink.register(rev, "rev-delay");
-        sink.register(rev_demux, "rev-demux");
-        for (i, (snd, rcv)) in self.tfrc.iter().enumerate() {
-            sink.register(*snd, &format!("tfrc-{i}-snd"));
-            sink.register(*rcv, &format!("tfrc-{i}-rcv"));
-        }
-        for (i, (snd, sk)) in self.tcp.iter().enumerate() {
-            sink.register(*snd, &format!("tcp-{i}-snd"));
-            sink.register(*sk, &format!("tcp-{i}-sink"));
-        }
-        if let Some((snd, sk)) = self.probe {
-            sink.register(snd, "probe-snd");
-            sink.register(sk, "probe-sink");
-        }
-        self.engine.set_tracer(Box::new(sink));
-    }
-
-    /// Finishes a trace started by [`DumbbellRun::install_tracer`] and
-    /// returns the encoded Perfetto bytes (`None` if no tracer was
-    /// installed).
-    pub fn take_trace(&mut self) -> Option<Vec<u8>> {
-        ebrc_trace::take_sink(&mut self.engine).map(ebrc_trace::PerfettoSink::finish)
-    }
-
     /// Runs to `warmup`, snapshots counters, runs to `warmup + span`,
-    /// and reports steady-state per-flow measurements.
-    ///
-    /// The two run legs may equivalently be driven in event-budgeted
-    /// slices via [`Engine::run_budgeted`] with
-    /// [`DumbbellRun::snapshot_counters`] taken between them — the
-    /// engine guarantees sliced execution is bit-identical, which is
-    /// how the runner's resumable path measures the same bytes.
+    /// and reports steady-state per-flow measurements: the crate's one
+    /// warm-up/span driver run with an unbounded budget, the same state
+    /// machine the runner's sliced path drives in slices.
     pub fn measure(&mut self, warmup: f64, span: f64) -> RunMeasurements {
-        assert!(span > 0.0, "measurement span must be positive");
-        self.engine.run_until(warmup);
-        let snap = self.snapshot_counters();
-        self.engine.run_until(warmup + span);
-        self.measurements_since(&snap, span)
+        super::measure(self, warmup, span)
     }
 
     /// Snapshots every flow's cumulative counters — taken at the end of
@@ -511,6 +471,50 @@ impl DumbbellRun {
             nominal_rtt: self.nominal_rtt,
             tfrc_formula: self.tfrc_formula,
         }
+    }
+}
+
+impl MeasuredScenario for DumbbellRun {
+    type Snapshot = CounterSnapshot;
+    type Measurements = RunMeasurements;
+
+    fn engine(&mut self) -> &mut Engine<NetEvent> {
+        &mut self.engine
+    }
+
+    fn snapshot_counters(&self) -> CounterSnapshot {
+        DumbbellRun::snapshot_counters(self)
+    }
+
+    fn measurements_since(&self, snap: &CounterSnapshot, span: f64) -> RunMeasurements {
+        DumbbellRun::measurements_since(self, snap, span)
+    }
+
+    fn spec_output(m: RunMeasurements) -> SpecOutput {
+        SpecOutput::Run(m)
+    }
+
+    fn install_tracer(&mut self) {
+        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
+        sink.register(self.bottleneck, "bottleneck");
+        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
+        sink.register(fwd, "fwd-delay");
+        sink.register(fwd_demux, "fwd-demux");
+        sink.register(rev, "rev-delay");
+        sink.register(rev_demux, "rev-demux");
+        for (i, (snd, rcv)) in self.tfrc.iter().enumerate() {
+            sink.register(*snd, &format!("tfrc-{i}-snd"));
+            sink.register(*rcv, &format!("tfrc-{i}-rcv"));
+        }
+        for (i, (snd, sk)) in self.tcp.iter().enumerate() {
+            sink.register(*snd, &format!("tcp-{i}-snd"));
+            sink.register(*sk, &format!("tcp-{i}-sink"));
+        }
+        if let Some((snd, sk)) = self.probe {
+            sink.register(snd, "probe-snd");
+            sink.register(sk, "probe-sink");
+        }
+        self.engine.set_tracer(Box::new(sink));
     }
 }
 

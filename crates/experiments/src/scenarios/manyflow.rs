@@ -31,7 +31,9 @@
 //! No component draws randomness — the only nondeterminism knob is the
 //! start stagger — so runs are bit-identical by construction.
 
+use super::MeasuredScenario;
 use crate::series::quantile;
+use crate::spec::SpecOutput;
 use ebrc_net::{
     Demux, DropTailQueue, FeedbackInfo, FlowId, LinkQueue, NetEvent, Packet, PacketKind,
 };
@@ -481,42 +483,11 @@ impl ManyFlowRun {
         }
     }
 
-    /// Installs a Perfetto trace sink on the engine, with the network
-    /// core and both flow banks registered under named tracks. Record
-    /// the run, then collect the bytes with
-    /// [`ManyFlowRun::take_trace`].
-    pub fn install_tracer(&mut self) {
-        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
-        sink.register(self.bottleneck, "bottleneck");
-        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
-        sink.register(fwd, "fwd-delay");
-        sink.register(fwd_demux, "fwd-demux");
-        sink.register(rev, "rev-delay");
-        sink.register(rev_demux, "rev-demux");
-        sink.register(self.tfrc_bank, "tfrc-bank");
-        sink.register(self.tcp_bank, "tcp-bank");
-        self.engine.set_tracer(Box::new(sink));
-    }
-
-    /// Finishes a trace started by [`ManyFlowRun::install_tracer`] and
-    /// returns the encoded Perfetto bytes (`None` if no tracer was
-    /// installed).
-    pub fn take_trace(&mut self) -> Option<Vec<u8>> {
-        ebrc_trace::take_sink(&mut self.engine).map(ebrc_trace::PerfettoSink::finish)
-    }
-
     /// Runs to `warmup`, snapshots counters, runs to `warmup + span`,
-    /// and reports the population statistics. Like
-    /// [`DumbbellRun::measure`](super::DumbbellRun::measure), the two
-    /// legs may equivalently be driven in event-budget slices with
-    /// [`ManyFlowRun::snapshot_counters`] between them — sliced
-    /// execution is bit-identical by the engine's contract.
+    /// and reports the population statistics, through the same driver
+    /// as [`DumbbellRun::measure`](super::DumbbellRun::measure).
     pub fn measure(&mut self, warmup: f64, span: f64) -> ManyFlowMeasurements {
-        assert!(span > 0.0, "measurement span must be positive");
-        self.engine.run_until(warmup);
-        let snap = self.snapshot_counters();
-        self.engine.run_until(warmup + span);
-        self.measurements_since(&snap, span)
+        super::measure(self, warmup, span)
     }
 
     /// Snapshots every flow's cumulative counters at the end of
@@ -565,6 +536,40 @@ impl ManyFlowRun {
             share_pps: self.share_pps,
             formula: self.formula,
         }
+    }
+}
+
+impl MeasuredScenario for ManyFlowRun {
+    type Snapshot = ManyFlowSnapshot;
+    type Measurements = ManyFlowMeasurements;
+
+    fn engine(&mut self) -> &mut Engine<NetEvent> {
+        &mut self.engine
+    }
+
+    fn snapshot_counters(&self) -> ManyFlowSnapshot {
+        ManyFlowRun::snapshot_counters(self)
+    }
+
+    fn measurements_since(&self, snap: &ManyFlowSnapshot, span: f64) -> ManyFlowMeasurements {
+        ManyFlowRun::measurements_since(self, snap, span)
+    }
+
+    fn spec_output(m: ManyFlowMeasurements) -> SpecOutput {
+        SpecOutput::Scalars(m.summary())
+    }
+
+    fn install_tracer(&mut self) {
+        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
+        sink.register(self.bottleneck, "bottleneck");
+        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
+        sink.register(fwd, "fwd-delay");
+        sink.register(fwd_demux, "fwd-demux");
+        sink.register(rev, "rev-delay");
+        sink.register(rev_demux, "rev-demux");
+        sink.register(self.tfrc_bank, "tfrc-bank");
+        sink.register(self.tcp_bank, "tcp-bank");
+        self.engine.set_tracer(Box::new(sink));
     }
 }
 

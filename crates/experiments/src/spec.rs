@@ -25,8 +25,8 @@ use crate::figures::internet::{site_config, site_table, sites};
 use crate::figures::lab::lab_queues;
 use crate::registry::replica_seed;
 use crate::scenarios::{
-    CounterSnapshot, DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowRun,
-    ManyFlowSnapshot, QueueSpec, RunMeasurements,
+    DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowRun, MeasureWindow,
+    MeasuredScenario, QueueSpec, RunMeasurements,
 };
 use crate::series::Table;
 use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig};
@@ -34,7 +34,6 @@ use ebrc_core::formula::{AimdFormula, PftkSimplified, PftkStandard, Sqrt, Throug
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
 use ebrc_runner::{JobCtx, SliceStep, SlicedRun};
-use ebrc_sim::RunLimit;
 use ebrc_tcp::{AimdFixedLink, EbrcFixedLink, SharedFixedLink};
 use ebrc_tfrc::FormulaKind;
 use serde::Value;
@@ -439,121 +438,42 @@ fn saturating_f64_to_u64(x: f64) -> u64 {
     }
 }
 
-/// A dumbbell simulation suspended between event-budget slices: the
-/// built scenario, its measurement window, and which leg of
-/// [`DumbbellRun::measure`] the engine is inside. Resuming drives
-/// [`Engine::run_budgeted`](ebrc_sim::Engine::run_budgeted) with the
-/// same horizons the monolithic path uses, so by the engine's sliced-
-/// execution contract the finished measurements are bit-identical at
-/// any budget — slicing only changes *where* the work runs, never what
-/// it computes.
-struct SlicedDumbbell {
-    run: DumbbellRun,
-    warmup: f64,
-    span: f64,
-    phase: DumbbellPhase,
+/// A scenario measurement suspended between event-budget slices: the
+/// built scenario plus its [`MeasureWindow`]. The one sliced driver
+/// behind every dumbbell-family and many-flow spec.
+struct SlicedScenario<R: MeasuredScenario> {
+    run: R,
+    window: MeasureWindow<R::Snapshot>,
 }
 
-/// Which `measure` leg a [`SlicedDumbbell`] is inside.
-enum DumbbellPhase {
-    /// Running to `warmup`; counters not yet snapshotted.
-    Warmup,
-    /// Running to `warmup + span`, differencing against the snapshot.
-    Span(CounterSnapshot),
-}
-
-impl SlicedRun for SlicedDumbbell {
-    type Output = SpecOutput;
-
-    fn resume(mut self: Box<Self>, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
-        // One resume call spends at most `budget` events across both
-        // legs, so slice granularity stays uniform even when the
-        // warm-up boundary falls mid-slice.
-        let mut left = budget.max(1);
-        loop {
-            match self.phase {
-                DumbbellPhase::Warmup => {
-                    let out = self
-                        .run
-                        .engine
-                        .run_budgeted(RunLimit::new(self.warmup, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    left = left.saturating_sub(out.events);
-                    self.phase = DumbbellPhase::Span(self.run.snapshot_counters());
-                    if left == 0 {
-                        return SliceStep::Pending(self);
-                    }
-                }
-                DumbbellPhase::Span(ref snap) => {
-                    let horizon = self.warmup + self.span;
-                    let out = self.run.engine.run_budgeted(RunLimit::new(horizon, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    let m = self.run.measurements_since(snap, self.span);
-                    ctx.record_events(self.run.engine.events_processed());
-                    write_trace(self.run.take_trace(), ctx);
-                    return SliceStep::Done(SpecOutput::Run(m));
-                }
-            }
+impl<R: MeasuredScenario> SlicedScenario<R> {
+    /// Starts measuring `run` over `(warmup, span)`: installs a tracer
+    /// when the ctx asks for a trace, then runs the first slice.
+    fn start(
+        mut run: R,
+        (warmup, span): (f64, f64),
+        ctx: &mut JobCtx,
+        budget: u64,
+    ) -> SliceStep<SpecOutput> {
+        let window = MeasureWindow::new(warmup, span);
+        if ctx.trace_path().is_some() {
+            run.install_tracer();
         }
+        Box::new(Self { run, window }).resume(ctx, budget)
     }
 }
 
-/// A many-flow simulation suspended between event-budget slices — the
-/// [`SlicedDumbbell`] pattern over [`ManyFlowRun`], with the same
-/// bit-identity guarantee at any budget.
-struct SlicedManyFlow {
-    run: ManyFlowRun,
-    warmup: f64,
-    span: f64,
-    phase: ManyFlowPhase,
-}
-
-/// Which `measure` leg a [`SlicedManyFlow`] is inside.
-enum ManyFlowPhase {
-    /// Running to `warmup`; counters not yet snapshotted.
-    Warmup,
-    /// Running to `warmup + span`, differencing against the snapshot.
-    Span(ManyFlowSnapshot),
-}
-
-impl SlicedRun for SlicedManyFlow {
+impl<R: MeasuredScenario> SlicedRun for SlicedScenario<R> {
     type Output = SpecOutput;
 
     fn resume(mut self: Box<Self>, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
-        let mut left = budget.max(1);
-        loop {
-            match self.phase {
-                ManyFlowPhase::Warmup => {
-                    let out = self
-                        .run
-                        .engine
-                        .run_budgeted(RunLimit::new(self.warmup, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    left = left.saturating_sub(out.events);
-                    self.phase = ManyFlowPhase::Span(self.run.snapshot_counters());
-                    if left == 0 {
-                        return SliceStep::Pending(self);
-                    }
-                }
-                ManyFlowPhase::Span(ref snap) => {
-                    let horizon = self.warmup + self.span;
-                    let out = self.run.engine.run_budgeted(RunLimit::new(horizon, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    let m = self.run.measurements_since(snap, self.span);
-                    ctx.record_events(self.run.engine.events_processed());
-                    write_trace(self.run.take_trace(), ctx);
-                    return SliceStep::Done(SpecOutput::Scalars(m.summary()));
-                }
-            }
-        }
+        let this = &mut *self;
+        let Some(m) = this.window.advance(&mut this.run, budget) else {
+            return SliceStep::Pending(self);
+        };
+        ctx.record_events(this.run.engine().events_processed());
+        write_trace(this.run.take_trace(), ctx);
+        SliceStep::Done(R::spec_output(m))
     }
 }
 
@@ -637,75 +557,25 @@ impl ebrc_runner::Spec for SimSpec {
         self.events_hint()
     }
 
-    /// Dumbbell-family specs run in resumable event-budget slices (the
-    /// engine guarantees bit-identity with the monolithic
-    /// [`SimSpec::run`] path); every other family is cheap enough that
-    /// the default single-slice execution is the right call.
+    /// Dumbbell-family and many-flow specs run in resumable
+    /// event-budget slices (the engine guarantees bit-identity at every
+    /// budget); every other family is cheap enough that the default
+    /// single-slice execution is the right call.
     fn start_sliced(&self, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
-        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
-            assert!(span > 0.0, "measurement span must be positive");
-            let mut run = DumbbellRun::build(&cfg);
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
-            }
-            let state = SlicedDumbbell {
-                run,
-                warmup,
-                span,
-                phase: DumbbellPhase::Warmup,
-            };
-            return Box::new(state).resume(ctx, budget);
-        }
-        if let SimSpec::ManyFlowDumbbell {
-            n,
-            rep,
-            warmup,
-            span,
-        } = *self
-        {
-            assert!(span > 0.0, "measurement span must be positive");
-            let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
-            }
-            let state = SlicedManyFlow {
-                run,
-                warmup,
-                span,
-                phase: ManyFlowPhase::Warmup,
-            };
-            return Box::new(state).resume(ctx, budget);
-        }
-        SliceStep::Done(self.run(ctx))
+        self.start_scenario(ctx, budget)
+            .unwrap_or_else(|| SliceStep::Done(self.run(ctx)))
     }
 
     fn run(&self, ctx: &mut JobCtx) -> SpecOutput {
-        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
-            let mut run = DumbbellRun::build(&cfg);
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
+        if let Some(mut step) = self.start_scenario(ctx, u64::MAX) {
+            loop {
+                match step {
+                    SliceStep::Done(out) => return out,
+                    SliceStep::Pending(state) => step = state.resume(ctx, u64::MAX),
+                }
             }
-            let out = SpecOutput::Run(run.measure(warmup, span));
-            ctx.record_events(run.engine.events_processed());
-            write_trace(run.take_trace(), ctx);
-            return out;
         }
         match *self {
-            SimSpec::ManyFlowDumbbell {
-                n,
-                rep,
-                warmup,
-                span,
-            } => {
-                let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
-                if ctx.trace_path().is_some() {
-                    run.install_tracer();
-                }
-                let out = SpecOutput::Scalars(run.measure(warmup, span).summary());
-                ctx.record_events(run.engine.events_processed());
-                write_trace(run.take_trace(), ctx);
-                out
-            }
             SimSpec::Audio {
                 p_drop,
                 formula,
@@ -775,7 +645,7 @@ impl ebrc_runner::Spec for SimSpec {
                 }
                 SpecOutput::Scalars(vec![value as f64])
             }
-            _ => unreachable!("dumbbell specs run above"),
+            _ => unreachable!("scenario specs run above"),
         }
     }
 }
@@ -795,6 +665,27 @@ impl ebrc_runner::CacheableSpec for SimSpec {
 }
 
 impl SimSpec {
+    /// Starts the warm-up/span measurement of a scenario-backed spec
+    /// (the dumbbell family and [`SimSpec::ManyFlowDumbbell`]) under an
+    /// event `budget`; `None` for every other family.
+    fn start_scenario(&self, ctx: &mut JobCtx, budget: u64) -> Option<SliceStep<SpecOutput>> {
+        if let (Some(cfg), Some(window)) = (self.dumbbell_config(), self.window()) {
+            let run = DumbbellRun::build(&cfg);
+            return Some(SlicedScenario::start(run, window, ctx, budget));
+        }
+        if let SimSpec::ManyFlowDumbbell {
+            n,
+            rep,
+            warmup,
+            span,
+        } = *self
+        {
+            let run = ManyFlowRun::build(&manyflow_config(n, rep));
+            return Some(SlicedScenario::start(run, (warmup, span), ctx, budget));
+        }
+        None
+    }
+
     /// One Monte-Carlo normalized-throughput point — the body of every
     /// [`SimSpec::Mc`] spec (the historical Figures 3–4 seeds live in
     /// the spec fields, so the output is byte-compatible with the
@@ -1156,7 +1047,8 @@ fn table_from_value(v: &Value) -> Result<Table, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebrc_runner::Spec as _;
+    use crate::MASTER_SEED;
+    use ebrc_runner::{CacheableSpec as _, Spec as _};
 
     #[test]
     fn fig05_fig08_and_fig09_share_the_same_instance() {
@@ -1192,6 +1084,89 @@ mod tests {
         };
         for other in [ns2(6, 8, 1, 60.0), ns2(6, 2, 0, 60.0), ns2(6, 8, 0, 61.0)] {
             assert_ne!(a.key(), other.key());
+        }
+    }
+
+    /// Drives `start_sliced` to completion at a fixed per-slice
+    /// budget, returning the encoded output and the events recorded.
+    fn run_sliced(spec: &SimSpec, budget: u64) -> (String, u64) {
+        let mut ctx = JobCtx::for_label(MASTER_SEED, spec.key());
+        let mut step = spec.start_sliced(&mut ctx, budget);
+        let out = loop {
+            match step {
+                SliceStep::Done(out) => break out,
+                SliceStep::Pending(state) => step = state.resume(&mut ctx, budget),
+            }
+        };
+        (SimSpec::encode_output(&out), ctx.events_processed())
+    }
+
+    /// The warm-up/span estimator written out by hand — `run_until`
+    /// legs, no slicing — as the oracle for the shared driver.
+    fn by_hand<R: MeasuredScenario>(mut run: R, warmup: f64, span: f64) -> (String, u64) {
+        run.engine().run_until(warmup);
+        let snap = run.snapshot_counters();
+        run.engine().run_until(warmup + span);
+        let out = R::spec_output(run.measurements_since(&snap, span));
+        (
+            SimSpec::encode_output(&out),
+            run.engine().events_processed(),
+        )
+    }
+
+    #[test]
+    fn sliced_scenarios_match_run_at_every_budget_including_the_warmup_edge() {
+        let (warmup, span) = (2.0, 3.0);
+        let dumbbell = SimSpec::Ns2Dumbbell {
+            n: 1,
+            l: 8,
+            rep: 0,
+            probe: None,
+            warmup,
+            span,
+        };
+        let manyflow = SimSpec::ManyFlowDumbbell {
+            n: 10,
+            rep: 0,
+            warmup,
+            span,
+        };
+        let build_dumbbell = || DumbbellRun::build(&ns2_config(1, 8, 0, None));
+        let build_manyflow = || ManyFlowRun::build(&manyflow_config(10, 0));
+        // Events that take each scenario exactly to the end of warm-up:
+        // at that budget the first slice's warm-up leg spends its whole
+        // budget on the boundary.
+        let cases = [
+            (
+                dumbbell,
+                build_dumbbell().engine.run_until(warmup),
+                by_hand(build_dumbbell(), warmup, span),
+            ),
+            (
+                manyflow,
+                build_manyflow().engine.run_until(warmup),
+                by_hand(build_manyflow(), warmup, span),
+            ),
+        ];
+        for (spec, edge, want) in cases {
+            assert!(edge > 1, "{}: warm-up dispatches events", spec.key());
+            let mut ctx = JobCtx::for_label(MASTER_SEED, spec.key());
+            let out = spec.run(&mut ctx);
+            let run = (SimSpec::encode_output(&out), ctx.events_processed());
+            assert_eq!(
+                run,
+                want,
+                "{}: Spec::run vs the hand-written legs",
+                spec.key()
+            );
+            for budget in [1, edge - 1, edge, edge + 1, u64::MAX] {
+                assert_eq!(
+                    run_sliced(&spec, budget),
+                    want,
+                    "{} at budget {budget}",
+                    spec.key()
+                );
+            }
         }
     }
 

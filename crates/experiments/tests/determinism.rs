@@ -15,10 +15,10 @@
 
 use ebrc_dist::Rng;
 use ebrc_experiments::{
-    all_experiments, global_plan, par_run, plan_run_catalogue_cached, table_file_name, Experiment,
+    all_experiments, global_plan, plan_run_catalogue_cached, table_file_name, Experiment,
     ExperimentReport, Scale, SimSpec, SpecOutput, MASTER_SEED,
 };
-use ebrc_runner::{run_specs, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
+use ebrc_runner::{run_plan_cached, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -32,7 +32,18 @@ fn tiny(replicas: usize) -> Scale {
 }
 
 fn tables_json(exp: &dyn Experiment, scale: Scale, pool: &Pool) -> Vec<String> {
-    par_run(exp, scale, pool)
+    let mut run = plan_run_catalogue_cached(
+        vec![exp],
+        scale,
+        pool,
+        None,
+        ExecConfig::default(),
+        |_, _| {},
+        |_| {},
+    );
+    run.reports
+        .remove(0)
+        .outcome
         .unwrap_or_else(|e| panic!("{e}"))
         .iter()
         .map(|t| t.to_json())
@@ -99,7 +110,7 @@ fn spec_keys_are_unique_and_collision_free_across_the_catalogue() {
 }
 
 /// Runs the catalogue split into `k` deterministic shards — each shard
-/// executed as a bare spec list, exactly like `repro run --shard` —
+/// executed as a plan subset, exactly like `repro run --shard` —
 /// then merges the outputs and reduces every experiment. Returns each
 /// experiment's tables, in catalogue order.
 fn tables_via_shards(scale: Scale, k: usize, pool: &Pool) -> Vec<Vec<ebrc_experiments::Table>> {
@@ -109,14 +120,21 @@ fn tables_via_shards(scale: Scale, k: usize, pool: &Pool) -> Vec<Vec<ebrc_experi
     let mut outputs: Vec<Option<SpecOutput>> = (0..plan.unique_len()).map(|_| None).collect();
     for shard in 0..k {
         let indices = plan.shard_indices(shard, k);
-        let specs: Vec<SimSpec> = indices.iter().map(|&i| plan.specs()[i].clone()).collect();
-        for (idx, out) in indices
-            .into_iter()
-            .zip(run_specs(pool, MASTER_SEED, &specs, |_, _| {}))
-        {
+        let (results, _) = run_plan_cached(
+            pool,
+            MASTER_SEED,
+            &plan,
+            Some(&indices),
+            None,
+            ExecConfig::default(),
+            |_, _| {},
+            |_| {},
+        );
+        for idx in indices {
             // Round-trip through the shard interchange encoding, so the
             // test covers exactly what crosses host boundaries.
-            let encoded = out.expect("spec panicked").to_value();
+            let out = results[idx].as_ref().expect("shard spec selected");
+            let encoded = out.as_ref().expect("spec panicked").to_value();
             outputs[idx] = Some(SpecOutput::from_value(&encoded).expect("output round-trips"));
         }
     }

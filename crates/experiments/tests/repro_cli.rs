@@ -214,6 +214,76 @@ fn shard_runs_merge_byte_identically() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// Shard artifacts record what each sim cost: a cold shard run writes
+/// the events and wall time every executed sim took, a warm rerun
+/// against the same cache writes zeros (nothing executed), and both
+/// artifacts merge to the same tables.
+#[test]
+fn shard_artifacts_record_per_sim_cost_and_zero_for_cache_hits() {
+    let base = scratch("shard-cost");
+    let cache = base.join("cache");
+    // Per-sim `(events, wall_s)` of one shard run into `dir`.
+    let run_shard = |dir: &PathBuf| -> Vec<(f64, f64)> {
+        let out = repro()
+            .args([
+                "run",
+                "fig05",
+                "--scale",
+                "tiny",
+                "--shard",
+                "0/1",
+                "--shard-dir",
+            ])
+            .arg(dir)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(dir.join("shard-0-of-1.json")).unwrap();
+        let artifact = serde_json::from_str(&text).unwrap();
+        let serde::Value::Array(outputs) = &artifact["outputs"] else {
+            panic!("artifact without outputs: {text}");
+        };
+        assert!(!outputs.is_empty(), "fig05 runs sims");
+        outputs
+            .iter()
+            .map(|o| (o["events"].as_f64().unwrap(), o["wall_s"].as_f64().unwrap()))
+            .collect()
+    };
+    let (cold_dir, warm_dir) = (base.join("cold"), base.join("warm"));
+    // Every fig05 sim is a dumbbell, so every cold sim dispatched
+    // events and took measurable time.
+    for (events, wall_s) in run_shard(&cold_dir) {
+        assert!(
+            events > 0.0 && wall_s > 0.0,
+            "cold sim: {events} events, {wall_s} s"
+        );
+    }
+    for (events, wall_s) in run_shard(&warm_dir) {
+        assert_eq!((events, wall_s), (0.0, 0.0), "a cache hit executes nothing");
+    }
+    let merge = |dir: &PathBuf| {
+        let out = repro()
+            .args(["merge", "fig05", "--scale", "tiny", "--shard-dir"])
+            .arg(dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        out.stdout
+    };
+    assert_eq!(
+        merge(&cold_dir),
+        merge(&warm_dir),
+        "warm artifact merged differently"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 #[test]
 fn merge_rejects_foreign_or_missing_shards() {
     let dir = scratch("mismatch");

@@ -9,6 +9,7 @@
 //! rewrites the fixture after a deliberate format change.
 
 use ebrc_experiments::scenarios::dumbbell::{DumbbellConfig, DumbbellRun, QueueSpec};
+use ebrc_experiments::scenarios::MeasuredScenario;
 use ebrc_sim::RunLimit;
 use std::path::PathBuf;
 

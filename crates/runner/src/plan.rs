@@ -18,20 +18,23 @@
 //! parameter-derived seeds), results are bit-identical at any thread
 //! count and any shard count.
 //!
-//! [`run_plan`] executes a plan on a [`Pool`] and fires a callback the
-//! moment the *last* spec of a subscription completes — the hook that
-//! lets callers reduce and spool each experiment while the rest of the
-//! grid is still running.
+//! [`run_plan_cached`] is the one plan executor. It runs a plan (or a
+//! shard's subset of it) on a [`Pool`], serves whatever it can from an
+//! optional output cache, and fires a callback the moment the *last*
+//! spec of a subscription completes — the hook that lets callers
+//! reduce and spool each experiment while the rest of the grid is
+//! still running. [`Plan::run_sequential`] is the pool-free oracle the
+//! tests compare it against.
 //!
-//! Two scheduling layers keep a straggler-heavy grid from serializing:
-//! misses are submitted *longest-first* by [`Spec::cost_hint`] (so the
-//! expensive sims start while the short tail backfills the workers),
-//! and, when [`ExecConfig::slice_events`] is set, a spec that opts into
-//! [`Spec::start_sliced`] runs as a chain of bounded-event slices the
-//! pool can migrate across workers mid-sim. Neither layer moves any
-//! bytes: results land in per-spec slots and reduction is
-//! completion-driven, so tables stay bit-identical to the sequential
-//! path at any thread count, slice budget, or submission order.
+//! Every executed spec runs through [`Spec::start_sliced`]: misses are
+//! submitted *longest-first* by [`Spec::cost_hint`] (so the expensive
+//! sims start while the short tail backfills the workers), and each
+//! runs as a chain of slices under [`ExecConfig::slice_events`] — one
+//! unbounded slice when slicing is off — that the pool can migrate
+//! across workers mid-sim. Neither layer moves any bytes: results land
+//! in per-spec slots and reduction is completion-driven, so tables stay
+//! bit-identical to the sequential path at any thread count, slice
+//! budget, or submission order.
 
 use crate::cache::{CacheCounters, CacheableSpec, OutputCache};
 use crate::job::JobCtx;
@@ -47,7 +50,7 @@ use std::time::Instant;
 ///
 /// A token is shared between the party that may abort (a daemon whose
 /// client disconnected, a supervisor tearing a sweep down) and the
-/// executors, via [`ExecConfig::cancel`]. Cancellation is checked at
+/// executor, via [`ExecConfig::cancel`]. Cancellation is checked at
 /// every pool step boundary: specs not yet started and the remaining
 /// slices of sliced specs fail fast with a `"cancelled"` error instead
 /// of executing, so a cancelled sweep drains in at most one slice per
@@ -91,7 +94,7 @@ pub struct SpecTiming {
     pub slices: u32,
 }
 
-/// Execution accounting of one plan (or spec-list) run: cache
+/// Execution accounting of one plan run: cache
 /// effectiveness plus the discrete-event engine events the *executed*
 /// specs dispatched (cache hits execute nothing, so they contribute
 /// zero — `events` measures this run's compute, not its provenance).
@@ -107,16 +110,6 @@ pub struct RunStats {
     /// Per-spec wall time of every executed (non-panicking) spec —
     /// the straggler table behind the bench's timing report.
     pub timings: Vec<SpecTiming>,
-}
-
-impl RunStats {
-    /// Accumulates another run's stats (for multi-phase sweeps).
-    pub fn absorb(&mut self, other: RunStats) {
-        self.cache.absorb(other.cache);
-        self.events += other.events;
-        self.timings.extend(other.timings);
-        self.timings.sort_by(|a, b| a.key.cmp(&b.key));
-    }
 }
 
 /// Where a traced run writes its per-spec trace files.
@@ -167,7 +160,7 @@ impl TraceConfig {
     }
 }
 
-/// Execution knobs threaded through the cache-aware runners.
+/// Execution knobs threaded through [`run_plan_cached`].
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// When set, specs that support slicing ([`Spec::start_sliced`])
@@ -430,7 +423,7 @@ impl<S: Spec> Plan<S> {
     /// union over all shards is exactly the plan.
     ///
     /// Shard membership is a function of *catalogue order only* — the
-    /// longest-first submission order the executors use is a scheduling
+    /// longest-first submission order the executor uses is a scheduling
     /// detail applied after sharding, inside each shard, and never
     /// moves a spec between shards. Keeping the cut on plan order is
     /// what lets [`Plan::fingerprint`] verify that independently built
@@ -535,56 +528,33 @@ pub struct SubscriptionResult<S: Spec> {
     pub outcome: Result<Vec<Arc<S::Output>>, SpecFailures>,
 }
 
-/// The cache plumbing a cache-aware run threads through the core: the
-/// store plus the output codec, monomorphized per spec type.
-struct CacheHooks<'a, S: Spec> {
-    cache: &'a dyn OutputCache,
-    encode: fn(&S::Output) -> String,
-    decode: fn(&str) -> Result<S::Output, String>,
-}
-
-/// Executes a plan's unique specs (optionally a subset) on the pool.
+/// Executes a plan's unique specs (optionally a subset) on the pool,
+/// with an optional content-addressed output cache — the one plan
+/// executor every caller goes through.
+///
+/// The selected specs (`only`, or the whole plan) are partitioned into
+/// *hits* — entries loaded from `cache`, validated against the spec
+/// key, decoded, and fed straight to their subscriptions — and
+/// *misses*, which execute on the pool and are written back on
+/// completion. An invalid entry (corrupt, truncated, version-skewed,
+/// or key-mismatched) reads as a miss and re-executes; it can never
+/// poison a reduce. With `cache: None` every spec is a miss.
+///
+/// Every miss runs as a chain of [`Spec::start_sliced`] slices under
+/// [`ExecConfig::slice_events`] (`u64::MAX`, i.e. one slice, when
+/// slicing is off), submitted longest-first by [`Spec::cost_hint`].
 ///
 /// `on_ready` fires — from the completing worker's thread — as soon as
 /// the last spec a subscription references has finished, with that
 /// subscription's outputs in reduce order; subscriptions whose specs
 /// lie partly outside `only` never fire. Per-spec results (shared via
-/// [`Arc`]) are returned for all executed specs, keyed by unique-spec
-/// index; specs outside `only` yield `None`.
-pub fn run_plan<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    plan: &Plan<S>,
-    only: Option<&[usize]>,
-    progress: impl Fn(usize, usize) + Sync,
-    on_ready: impl Fn(SubscriptionResult<S>) + Sync,
-) -> Vec<Option<SpecResult<S>>> {
-    run_plan_core(
-        pool,
-        master_seed,
-        plan,
-        only,
-        None,
-        ExecConfig::default(),
-        progress,
-        on_ready,
-    )
-    .0
-}
-
-/// [`run_plan`] with a content-addressed output cache.
-///
-/// The plan's selected specs are partitioned into *hits* — entries
-/// loaded from the cache, validated against the spec key, decoded, and
-/// fed straight to their subscriptions — and *misses*, which execute
-/// on the pool and are written back on completion. An invalid entry
-/// (corrupt, truncated, version-skewed, or key-mismatched) reads as a
-/// miss and re-executes; it can never poison a reduce. With
-/// `cache: None` this is exactly [`run_plan`] (every spec a miss).
+/// [`Arc`]) are returned keyed by unique-spec index; specs outside
+/// `only` yield `None`.
 ///
 /// `progress` counts executed specs only, so a fully warm run reports
 /// zero sims. The returned [`RunStats`] split the selected specs into
-/// hits and misses and total the engine events the misses dispatched.
+/// hits and misses, total the engine events the misses dispatched, and
+/// carry one [`SpecTiming`] row per executed spec.
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_cached<S: CacheableSpec>(
     pool: &Pool,
@@ -596,20 +566,170 @@ pub fn run_plan_cached<S: CacheableSpec>(
     progress: impl Fn(usize, usize) + Sync,
     on_ready: impl Fn(SubscriptionResult<S>) + Sync,
 ) -> (Vec<Option<SpecResult<S>>>, RunStats) {
-    let hooks = cache.map(|cache| CacheHooks {
-        cache,
-        encode: S::encode_output,
-        decode: S::decode_output,
-    });
-    run_plan_core(
-        pool,
-        master_seed,
-        plan,
-        only,
-        hooks,
-        exec,
-        progress,
-        on_ready,
+    let n = plan.specs().len();
+    // Dedup the subset (first occurrence wins) so a spec never runs —
+    // and never decrements readiness counters — twice.
+    let mut in_shard = vec![false; n];
+    let mut selected: Vec<usize> = Vec::new();
+    for &i in only.unwrap_or(&(0..n).collect::<Vec<_>>()) {
+        if !in_shard[i] {
+            in_shard[i] = true;
+            selected.push(i);
+        }
+    }
+    let results: Vec<Mutex<Option<SpecResult<S>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let subscribers = plan.subscribers_by_spec();
+    // A subscription is ready when its last *distinct* spec completes;
+    // subscriptions reaching outside the executed subset never fire.
+    let remaining: Vec<Option<AtomicUsize>> = plan
+        .subscriptions()
+        .iter()
+        .map(|sub| {
+            let mut distinct: Vec<usize> = sub.spec_indices.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if distinct.iter().all(|&i| in_shard[i]) {
+                Some(AtomicUsize::new(distinct.len()))
+            } else {
+                None
+            }
+        })
+        .collect();
+
+    let gather = |sub_idx: usize| -> SubscriptionResult<S> {
+        let sub = &plan.subscriptions()[sub_idx];
+        let mut outputs = Vec::with_capacity(sub.spec_indices.len());
+        let mut failures: Vec<(String, String)> = Vec::new();
+        for &idx in &sub.spec_indices {
+            let slot = results[idx].lock().expect("result slot poisoned");
+            match slot.as_ref().expect("subscribed spec complete") {
+                Ok(out) => outputs.push(Arc::clone(out)),
+                Err(msg) => {
+                    let key = plan.specs()[idx].key();
+                    if !failures.iter().any(|(k, _)| *k == key) {
+                        failures.push((key, msg.clone()));
+                    }
+                }
+            }
+        }
+        SubscriptionResult {
+            subscription: sub_idx,
+            outcome: if failures.is_empty() {
+                Ok(outputs)
+            } else {
+                Err(failures)
+            },
+        }
+    };
+    // Records a finished spec's result and fires every subscription it
+    // completes.
+    let complete = |idx: usize, result: SpecResult<S>| {
+        *results[idx].lock().expect("result slot poisoned") = Some(result);
+        for &si in &subscribers[idx] {
+            if let Some(r) = &remaining[si] {
+                if r.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    on_ready(gather(si));
+                }
+            }
+        }
+    };
+
+    // Subscriptions with no specs at all are ready before anything
+    // runs (before hit pre-filling, which fires on the 1 → 0 counter
+    // transition and would otherwise double-fire them).
+    for (si, r) in remaining.iter().enumerate() {
+        if let Some(r) = r {
+            if r.load(Ordering::Acquire) == 0 {
+                on_ready(gather(si));
+            }
+        }
+    }
+
+    // Partition the selection into cache hits — completed on the spot,
+    // like a finished run — and the misses the pool actually executes.
+    // Probing is sequential on the coordinating thread: a full warm
+    // probe of the quick catalogue measures in tens of milliseconds,
+    // far below the cost of a single sim. A traced run skips probing:
+    // a cache hit produces no trace.
+    let probe = if exec.trace.is_some() { None } else { cache };
+    let mut to_run: Vec<usize> = Vec::with_capacity(selected.len());
+    let mut counters = CacheCounters::default();
+    for &idx in &selected {
+        let hit = probe.and_then(|c| {
+            let text = c.load(plan.spec_hashes()[idx], &plan.specs()[idx].key())?;
+            S::decode_output(&text).ok()
+        });
+        match hit {
+            Some(out) => {
+                counters.hits += 1;
+                complete(idx, Ok(Arc::new(out)));
+            }
+            None => to_run.push(idx),
+        }
+    }
+    counters.misses = to_run.len();
+
+    // Longest-first submission: the expensive sims start immediately
+    // and the short tail backfills idle workers, instead of a straggler
+    // getting dequeued last and serializing the run's finish.
+    let to_run = longest_first(to_run, |i| plan.specs()[i].clone());
+
+    let events_total = AtomicU64::new(0);
+    let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
+    let budget = exec.slice_events.unwrap_or(u64::MAX);
+    let cancel = exec.cancel.clone();
+    let finish =
+        |idx: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
+            let result = outcome.map(|(out, events)| {
+                let key = plan.specs()[idx].key();
+                events_total.fetch_add(events, Ordering::Relaxed);
+                if let Some(c) = cache {
+                    c.store(plan.spec_hashes()[idx], &key, &S::encode_output(&out));
+                }
+                timings.lock().expect("timings poisoned").push(SpecTiming {
+                    key,
+                    wall_s,
+                    events,
+                    slices,
+                });
+                Arc::new(out)
+            });
+            complete(idx, result);
+        };
+    let tasks: Vec<ResumableTask<()>> = to_run
+        .iter()
+        .map(|&idx| {
+            let spec = plan.specs()[idx].clone();
+            let mut ctx = JobCtx::for_label(master_seed, spec.key());
+            if let Some(tc) = &exec.trace {
+                ctx.set_trace_path(tc.path_for(&spec.key()));
+            }
+            slice_chain(
+                idx,
+                ctx,
+                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
+                budget,
+                0.0,
+                0,
+                cancel.as_ref(),
+                &finish,
+            )
+        })
+        .collect();
+    pool.run_resumable(tasks, progress);
+
+    let mut timings = timings.into_inner().expect("timings poisoned");
+    timings.sort_by(|a, b| a.key.cmp(&b.key));
+    (
+        results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("result slot poisoned"))
+            .collect(),
+        RunStats {
+            cache: counters,
+            events: events_total.into_inner(),
+            timings,
+        },
     )
 }
 
@@ -617,15 +737,15 @@ pub fn run_plan_cached<S: CacheableSpec>(
 /// the finished output or the parked state of an unfinished run.
 type StepFn<'a, O> = Box<dyn FnOnce(&mut JobCtx) -> SliceStep<O> + Send + 'a>;
 
-/// The per-spec resumable task chain behind the plan and spec-list
-/// executors: each pool step runs one slice (budget-bounded when the
-/// spec supports slicing, the whole run otherwise), accumulating wall
-/// time and slice count across steps, and reports through `finish`
-/// exactly once — on the completing slice or on the slice that
-/// panicked. Panics are caught *here*, not left to the pool's own
-/// capture, because `finish` must still run for a failed spec: it
-/// records the error in the result slot and advances subscription
-/// readiness so reducers learn about the failure.
+/// The per-spec resumable task chain behind [`run_plan_cached`]: each
+/// pool step runs one slice (budget-bounded when the spec supports
+/// slicing, the whole run otherwise), accumulating wall time and slice
+/// count across steps, and reports through `finish` exactly once — on
+/// the completing slice or on the slice that panicked. Panics are
+/// caught *here*, not left to the pool's own capture, because `finish`
+/// must still run for a failed spec: it records the error in the
+/// result slot and advances subscription readiness so reducers learn
+/// about the failure.
 #[allow(clippy::too_many_arguments)]
 fn slice_chain<'a, O, F>(
     idx: usize,
@@ -689,348 +809,6 @@ fn longest_first<S: Spec>(to_run: Vec<usize>, spec_of: impl Fn(usize) -> S) -> V
     hinted.into_iter().map(|(i, _)| i).collect()
 }
 
-/// The shared execution core behind [`run_plan`] and
-/// [`run_plan_cached`].
-#[allow(clippy::too_many_arguments)]
-fn run_plan_core<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    plan: &Plan<S>,
-    only: Option<&[usize]>,
-    hooks: Option<CacheHooks<'_, S>>,
-    exec: ExecConfig,
-    progress: impl Fn(usize, usize) + Sync,
-    on_ready: impl Fn(SubscriptionResult<S>) + Sync,
-) -> (Vec<Option<SpecResult<S>>>, RunStats) {
-    let n = plan.specs().len();
-    // Dedup the subset (first occurrence wins) so a spec never runs —
-    // and never decrements readiness counters — twice.
-    let mut in_shard = vec![false; n];
-    let mut selected: Vec<usize> = Vec::new();
-    for &i in only.unwrap_or(&(0..n).collect::<Vec<_>>()) {
-        if !in_shard[i] {
-            in_shard[i] = true;
-            selected.push(i);
-        }
-    }
-    let results: Vec<Mutex<Option<SpecResult<S>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let subscribers = plan.subscribers_by_spec();
-    // A subscription is ready when its last *distinct* spec completes;
-    // subscriptions reaching outside the executed subset never fire.
-    let remaining: Vec<Option<AtomicUsize>> = plan
-        .subscriptions()
-        .iter()
-        .map(|sub| {
-            let mut distinct: Vec<usize> = sub.spec_indices.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            if distinct.iter().all(|&i| in_shard[i]) {
-                Some(AtomicUsize::new(distinct.len()))
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let gather = |sub_idx: usize| -> SubscriptionResult<S> {
-        let sub = &plan.subscriptions()[sub_idx];
-        let mut outputs = Vec::with_capacity(sub.spec_indices.len());
-        let mut failures: Vec<(String, String)> = Vec::new();
-        for &idx in &sub.spec_indices {
-            let slot = results[idx].lock().expect("result slot poisoned");
-            match slot.as_ref().expect("subscribed spec complete") {
-                Ok(out) => outputs.push(Arc::clone(out)),
-                Err(msg) => {
-                    let key = plan.specs()[idx].key();
-                    if !failures.iter().any(|(k, _)| *k == key) {
-                        failures.push((key, msg.clone()));
-                    }
-                }
-            }
-        }
-        SubscriptionResult {
-            subscription: sub_idx,
-            outcome: if failures.is_empty() {
-                Ok(outputs)
-            } else {
-                Err(failures)
-            },
-        }
-    };
-
-    // Subscriptions with no specs at all are ready before anything
-    // runs (before hit pre-filling, which fires on the 1 → 0 counter
-    // transition and would otherwise double-fire them).
-    for (si, r) in remaining.iter().enumerate() {
-        if let Some(r) = r {
-            if r.load(Ordering::Acquire) == 0 {
-                on_ready(gather(si));
-            }
-        }
-    }
-
-    // Partition the selection into cache hits — pre-filled into their
-    // result slots, decrementing readiness like a completed run — and
-    // the misses the pool actually executes. Probing is sequential on
-    // the coordinating thread: a full warm probe of the quick
-    // catalogue measures in tens of milliseconds, far below the cost
-    // of a single sim, so parallel probing is not worth entangling
-    // with the readiness counters.
-    let mut to_run: Vec<usize> = Vec::with_capacity(selected.len());
-    let mut counters = CacheCounters::default();
-    for &idx in &selected {
-        // A traced run must execute: a cache hit produces no trace.
-        let hit = if exec.trace.is_some() {
-            None
-        } else {
-            hooks.as_ref().and_then(|h| {
-                let text = h
-                    .cache
-                    .load(plan.spec_hashes()[idx], &plan.specs()[idx].key())?;
-                (h.decode)(&text).ok()
-            })
-        };
-        match hit {
-            Some(out) => {
-                counters.hits += 1;
-                *results[idx].lock().expect("result slot poisoned") = Some(Ok(Arc::new(out)));
-                for &si in &subscribers[idx] {
-                    if let Some(r) = &remaining[si] {
-                        if r.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            on_ready(gather(si));
-                        }
-                    }
-                }
-            }
-            None => to_run.push(idx),
-        }
-    }
-    counters.misses = to_run.len();
-
-    // Longest-first submission: the expensive sims start immediately
-    // and the short tail backfills idle workers, instead of a straggler
-    // getting dequeued last and serializing the run's finish.
-    let to_run = longest_first(to_run, |i| plan.specs()[i].clone());
-
-    let events_total = AtomicU64::new(0);
-    let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
-    let budget = exec.slice_events.unwrap_or(u64::MAX);
-    let cancel = exec.cancel.clone();
-    let finish =
-        |idx: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
-            let key = plan.specs()[idx].key();
-            let result = outcome.map(|(out, events)| {
-                events_total.fetch_add(events, Ordering::Relaxed);
-                timings.lock().expect("timings poisoned").push(SpecTiming {
-                    key: key.clone(),
-                    wall_s,
-                    events,
-                    slices,
-                });
-                if let Some(h) = &hooks {
-                    h.cache
-                        .store(plan.spec_hashes()[idx], &key, &(h.encode)(&out));
-                }
-                Arc::new(out)
-            });
-            *results[idx].lock().expect("result slot poisoned") = Some(result);
-            for &si in &subscribers[idx] {
-                if let Some(r) = &remaining[si] {
-                    if r.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        on_ready(gather(si));
-                    }
-                }
-            }
-        };
-    let tasks: Vec<ResumableTask<()>> = to_run
-        .iter()
-        .map(|&idx| {
-            let spec = plan.specs()[idx].clone();
-            let mut ctx = JobCtx::for_label(master_seed, spec.key());
-            if let Some(tc) = &exec.trace {
-                ctx.set_trace_path(tc.path_for(&spec.key()));
-            }
-            slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
-                budget,
-                0.0,
-                0,
-                cancel.as_ref(),
-                &finish,
-            )
-        })
-        .collect();
-    pool.run_resumable(tasks, progress);
-
-    let mut timings = timings.into_inner().expect("timings poisoned");
-    timings.sort_by(|a, b| a.key.cmp(&b.key));
-    (
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("result slot poisoned"))
-            .collect(),
-        RunStats {
-            cache: counters,
-            events: events_total.into_inner(),
-            timings,
-        },
-    )
-}
-
-/// Runs a bare spec list on the pool (no subscriptions — the shard
-/// execution path), returning per-spec results in list order.
-pub fn run_specs<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    specs: &[S],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<Result<S::Output, String>> {
-    let tasks: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            move || {
-                let mut ctx = JobCtx::for_label(master_seed, spec.key());
-                spec.run(&mut ctx)
-            }
-        })
-        .collect();
-    pool.run_with_progress(tasks, progress)
-        .into_iter()
-        .map(|r| r.map_err(|p| panic_message(p.as_ref())))
-        .collect()
-}
-
-/// What one executed spec cost on the shard execution path: engine
-/// events, wall-clock seconds, and the number of pool slices the run
-/// took. All zero when the output was served from the cache (nothing
-/// executed).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpecCost {
-    /// Engine events the run dispatched.
-    pub events: u64,
-    /// Wall-clock seconds across the run's slices.
-    pub wall_s: f64,
-    /// Pool steps the run took (0 = cache hit, 1 = never yielded).
-    pub slices: u32,
-}
-
-/// One spec's result on the shard execution path: the output plus what
-/// producing it cost.
-pub type SpecExecution<S> = Result<(<S as Spec>::Output, SpecCost), String>;
-
-/// [`run_specs`] with a content-addressed output cache — the shard
-/// execution path's warm mode. Hits are loaded and validated; misses
-/// run on the pool longest-first (and sliced, when `exec` says so) and
-/// are written back; `progress` counts executed specs only. With
-/// `cache: None` this is exactly [`run_specs`] plus per-spec cost
-/// accounting.
-pub fn run_specs_cached<S: CacheableSpec>(
-    pool: &Pool,
-    master_seed: u64,
-    specs: &[S],
-    cache: Option<&dyn OutputCache>,
-    exec: ExecConfig,
-    progress: impl Fn(usize, usize) + Sync,
-) -> (Vec<SpecExecution<S>>, RunStats) {
-    let slots: Vec<Mutex<Option<SpecExecution<S>>>> =
-        (0..specs.len()).map(|_| Mutex::new(None)).collect();
-    let mut to_run: Vec<usize> = Vec::new();
-    let mut counters = CacheCounters::default();
-    for (i, spec) in specs.iter().enumerate() {
-        // A traced run must execute: a cache hit produces no trace.
-        let hit = if exec.trace.is_some() {
-            None
-        } else {
-            cache.and_then(|c| {
-                let key = spec.key();
-                let text = c.load(stable_hash(&key), &key)?;
-                S::decode_output(&text).ok()
-            })
-        };
-        match hit {
-            Some(out) => {
-                counters.hits += 1;
-                *slots[i].lock().expect("spec slot poisoned") =
-                    Some(Ok((out, SpecCost::default())));
-            }
-            None => to_run.push(i),
-        }
-    }
-    counters.misses = to_run.len();
-    let to_run = longest_first(to_run, |i| specs[i].clone());
-
-    let events_total = AtomicU64::new(0);
-    let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
-    let budget = exec.slice_events.unwrap_or(u64::MAX);
-    let cancel = exec.cancel.clone();
-    let finish = |i: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
-        let result = outcome.map(|(out, events)| {
-            events_total.fetch_add(events, Ordering::Relaxed);
-            let key = specs[i].key();
-            timings.lock().expect("timings poisoned").push(SpecTiming {
-                key: key.clone(),
-                wall_s,
-                events,
-                slices,
-            });
-            if let Some(c) = cache {
-                c.store(stable_hash(&key), &key, &S::encode_output(&out));
-            }
-            (
-                out,
-                SpecCost {
-                    events,
-                    wall_s,
-                    slices,
-                },
-            )
-        });
-        *slots[i].lock().expect("spec slot poisoned") = Some(result);
-    };
-    let tasks: Vec<ResumableTask<()>> = to_run
-        .iter()
-        .map(|&i| {
-            let spec = specs[i].clone();
-            let mut ctx = JobCtx::for_label(master_seed, spec.key());
-            if let Some(tc) = &exec.trace {
-                ctx.set_trace_path(tc.path_for(&spec.key()));
-            }
-            slice_chain(
-                i,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
-                budget,
-                0.0,
-                0,
-                cancel.as_ref(),
-                &finish,
-            )
-        })
-        .collect();
-    pool.run_resumable(tasks, progress);
-
-    let mut timings = timings.into_inner().expect("timings poisoned");
-    timings.sort_by(|a, b| a.key.cmp(&b.key));
-    (
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("spec slot poisoned")
-                    .expect("every spec slot filled")
-            })
-            .collect(),
-        RunStats {
-            cache: counters,
-            events: events_total.into_inner(),
-            timings,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,6 +860,39 @@ mod tests {
         }
     }
 
+    /// Runs `plan` through [`run_plan_cached`] with no-op callbacks.
+    fn execute<S: CacheableSpec>(
+        threads: usize,
+        plan: &Plan<S>,
+        cache: Option<&dyn OutputCache>,
+        exec: ExecConfig,
+    ) -> (Vec<Option<SpecResult<S>>>, RunStats) {
+        run_plan_cached(
+            &Pool::new(threads),
+            0,
+            plan,
+            None,
+            cache,
+            exec,
+            |_, _| {},
+            |_| {},
+        )
+    }
+
+    /// Each spec's output, or its error message, in plan order.
+    fn outcomes(results: &[Option<Result<Arc<u64>, String>>]) -> Vec<Result<u64, String>> {
+        results
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .expect("spec selected")
+                    .as_deref()
+                    .copied()
+                    .map_err(|e| e.clone())
+            })
+            .collect()
+    }
+
     #[test]
     fn stable_hash_is_fnv1a() {
         // FNV-1a test vectors.
@@ -1125,16 +936,18 @@ mod tests {
     }
 
     #[test]
-    fn run_plan_fires_each_subscription_once_with_ordered_outputs() {
+    fn subscriptions_fire_once_with_ordered_outputs() {
         let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
         plan.merge(Plan::for_experiment("e2", vec![toy("b", 2), toy("a", 1)]));
         let fired = Mutex::new(vec![Vec::new(); 2]);
         let calls = AtomicUsize::new(0);
-        run_plan(
+        run_plan_cached(
             &Pool::new(4),
             0,
             &plan,
             None,
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -1163,11 +976,13 @@ mod tests {
         );
         plan.merge(Plan::for_experiment("good", vec![toy("ok", 1)]));
         let outcomes: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
-        run_plan(
+        run_plan_cached(
             &Pool::new(2),
             0,
             &plan,
             None,
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| {
                 let failed = match &res.outcome {
@@ -1192,11 +1007,13 @@ mod tests {
         let mut plan = Plan::for_experiment("wide", vec![toy("a", 1), toy("b", 2)]);
         plan.merge(Plan::for_experiment("narrow", vec![toy("a", 1)]));
         let fired = Mutex::new(Vec::new());
-        let results = run_plan(
+        let (results, _) = run_plan_cached(
             &Pool::new(2),
             0,
             &plan,
             Some(&[0]),
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| fired.lock().unwrap().push(res.subscription),
         );
@@ -1209,25 +1026,73 @@ mod tests {
     fn sequential_run_matches_pool_run() {
         let plan = Plan::for_experiment("e", (0..7).map(|i| toy("s", i)).collect());
         let seq = plan.run_sequential(0);
-        let par = run_plan(&Pool::new(3), 0, &plan, None, |_, _| {}, |_| {});
-        for (a, b) in seq.iter().zip(par) {
-            assert_eq!(*a, *b.unwrap().unwrap());
+        let (par, _) = execute(3, &plan, None, ExecConfig::default());
+        let par: Vec<u64> = outcomes(&par).into_iter().map(Result::unwrap).collect();
+        assert_eq!(seq, par);
+    }
+
+    /// A spec whose output is the first draw of its `(master seed,
+    /// key)` stream.
+    #[derive(Debug, Clone)]
+    struct Draw(usize);
+
+    impl Spec for Draw {
+        type Output = u64;
+        fn key(&self) -> String {
+            format!("grid/p{}/rep0", self.0)
+        }
+        fn run(&self, ctx: &mut JobCtx) -> u64 {
+            ctx.rng().next_u64()
+        }
+    }
+
+    impl CacheableSpec for Draw {
+        fn encode_output(out: &u64) -> String {
+            format!("{out}")
+        }
+        fn decode_output(text: &str) -> Result<u64, String> {
+            text.parse::<u64>().map_err(|e| e.to_string())
         }
     }
 
     #[test]
-    fn run_specs_reports_per_spec_failures() {
-        let specs = vec![
-            toy("x", 5),
-            Toy {
-                name: "boom",
-                value: 0,
-                fail: true,
-            },
-        ];
-        let out = run_specs(&Pool::new(2), 0, &specs, |_, _| {});
+    fn ctx_rng_ignores_execution_order_and_threads() {
+        let plan = Plan::for_experiment("draws", (0..24).map(Draw).collect());
+        let seq = plan.run_sequential(7);
+        for threads in [1, 8] {
+            let (par, _) = run_plan_cached(
+                &Pool::new(threads),
+                7,
+                &plan,
+                None,
+                None,
+                ExecConfig::default(),
+                |_, _| {},
+                |_| {},
+            );
+            let par: Vec<u64> = outcomes(&par).into_iter().map(Result::unwrap).collect();
+            assert_eq!(par, seq, "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    fn a_failing_spec_fails_only_its_own_slot() {
+        let plan = Plan::for_experiment(
+            "e",
+            vec![
+                toy("x", 5),
+                Toy {
+                    name: "boom",
+                    value: 0,
+                    fail: true,
+                },
+            ],
+        );
+        let (results, run) = execute(2, &plan, None, ExecConfig::default());
+        let out = outcomes(&results);
         assert_eq!(out[0], Ok(10));
         assert!(out[1].as_ref().unwrap_err().contains("toy spec failure"));
+        assert_eq!(core(&run), stats(0, 2, 5));
     }
 
     #[test]
@@ -1312,6 +1177,10 @@ mod tests {
         }
         assert_eq!(fired_cold, fired_warm);
         assert_eq!(fired_warm, vec![vec![2, 4], vec![4, 6]]);
+        // Without a cache every spec is a miss with the same outputs.
+        let (bare, cb) = execute(3, &plan, None, ExecConfig::default());
+        assert_eq!(core(&cb), stats(0, 3, 6));
+        assert_eq!(outcomes(&bare), outcomes(&cold));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1402,51 +1271,6 @@ mod tests {
         let (results, c1, _) = run_cached(&plan, &cache);
         assert_eq!(core(&c1), stats(1, 1, 0));
         assert!(results[1].as_ref().unwrap().is_err());
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// `(output, events)` view of a spec-execution list — the
-    /// reproducible part (wall time varies run to run).
-    fn exec_view(out: &[SpecExecution<Toy>]) -> Vec<Result<(u64, u64), String>> {
-        out.iter()
-            .map(|r| {
-                r.as_ref()
-                    .map(|(o, cost)| (*o, cost.events))
-                    .map_err(|e| e.clone())
-            })
-            .collect()
-    }
-
-    #[test]
-    fn run_specs_cached_round_trips_with_counters() {
-        let specs: Vec<Toy> = (0..4).map(|i| toy("rs", i)).collect();
-        let cache = cache_scratch("specs");
-        let pool = Pool::new(2);
-        let exec = ExecConfig::default();
-        let (cold, c0) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec.clone(), |_, _| {});
-        assert_eq!(core(&c0), stats(0, 4, 6));
-        let (warm, c1) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec.clone(), |_, _| {});
-        assert_eq!(core(&c1), stats(4, 0, 0));
-        // Outputs identical; warm per-spec events are zero (nothing
-        // executed), cold ones carry each sim's dispatch count.
-        assert_eq!(
-            exec_view(&cold),
-            vec![Ok((0, 0)), Ok((2, 1)), Ok((4, 2)), Ok((6, 3))]
-        );
-        assert_eq!(
-            exec_view(&warm),
-            vec![Ok((0, 0)), Ok((2, 0)), Ok((4, 0)), Ok((6, 0))]
-        );
-        for r in &warm {
-            assert_eq!(r.as_ref().unwrap().1.slices, 0, "hits take no pool steps");
-        }
-        for r in cold.iter().skip(1) {
-            assert_eq!(r.as_ref().unwrap().1.slices, 1, "monolithic runs: 1 step");
-        }
-        // No cache behaves exactly like run_specs.
-        let (bare, cb) = run_specs_cached(&pool, 0, &specs, None, exec, |_, _| {});
-        assert_eq!(core(&cb), stats(0, 4, 6));
-        assert_eq!(exec_view(&bare), exec_view(&cold));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1668,15 +1492,15 @@ mod tests {
         // exercises the scheduler, not the host's core count.
         let mut specs = vec![Sleeper { id: 0, ms: 120 }];
         specs.extend((1..13).map(|id| Sleeper { id, ms: 12 }));
+        let plan = Plan::for_experiment("sleep", specs);
         let exec = ExecConfig::sliced(6);
         let serial_start = Instant::now();
-        let (serial_out, _) =
-            run_specs_cached(&Pool::new(1), 0, &specs, None, exec.clone(), |_, _| {});
+        let (serial_out, _) = execute(1, &plan, None, exec.clone());
         let serial = serial_start.elapsed();
         let par_start = Instant::now();
-        let (par_out, _) = run_specs_cached(&Pool::new(2), 0, &specs, None, exec, |_, _| {});
+        let (par_out, _) = execute(2, &plan, None, exec);
         let par = par_start.elapsed();
-        assert_eq!(exec_view(&serial_out), exec_view(&par_out));
+        assert_eq!(outcomes(&serial_out), outcomes(&par_out));
         assert!(
             par < serial.mul_f64(0.75),
             "two workers did not beat serial: serial={serial:?} par={par:?}"
@@ -1686,32 +1510,25 @@ mod tests {
     #[test]
     fn traced_runs_bypass_the_cache_and_stamp_trace_paths() {
         let specs: Vec<Toy> = (0..3).map(|i| toy("tr", i)).collect();
+        let plan = Plan::for_experiment("trace", specs.clone());
         let cache = cache_scratch("trace");
-        let pool = Pool::new(2);
         // Warm the cache, then trace: every spec must re-execute (a
         // hit would produce no trace) and write its per-spec file.
-        let (_, c0) = run_specs_cached(
-            &pool,
-            0,
-            &specs,
-            Some(&cache),
-            ExecConfig::default(),
-            |_, _| {},
-        );
+        let (_, c0) = execute(2, &plan, Some(&cache), ExecConfig::default());
         assert_eq!(core(&c0), stats(0, 3, 3));
         let dir = std::env::temp_dir().join(format!("ebrc-trace-out-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let tc = TraceConfig::per_spec(&dir);
         let exec = ExecConfig::default().with_trace(tc.clone());
-        let (traced, c1) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec, |_, _| {});
+        let (traced, c1) = execute(2, &plan, Some(&cache), exec);
         assert_eq!(core(&c1), stats(0, 3, 3), "tracing forces execution");
         for spec in &specs {
             let path = tc.path_for(&spec.key());
             assert_eq!(std::fs::read_to_string(&path).unwrap(), spec.key());
         }
         // Traced outputs are the same computation — identical results.
-        assert_eq!(exec_view(&traced), vec![Ok((0, 0)), Ok((2, 1)), Ok((4, 2))]);
+        assert_eq!(outcomes(&traced), vec![Ok(0), Ok(2), Ok(4)]);
         // A single-file config routes every key to the one destination.
         let single = TraceConfig::single(dir.join("one.pftrace"));
         assert_eq!(single.path_for("a"), single.path_for("b"));
@@ -1723,17 +1540,16 @@ mod tests {
     fn a_cancelled_run_fails_fast_without_executing_or_caching() {
         // A pre-cancelled token: no spec may execute, nothing may be
         // written to the cache, and every slot reports CANCELLED.
-        let specs: Vec<Toy> = (0..4).map(|i| toy("cancel", i)).collect();
+        let plan = Plan::for_experiment("cancel", (0..4).map(|i| toy("cancel", i)).collect());
         let cache = cache_scratch("cancel");
         let token = CancelToken::new();
         token.cancel();
         let exec = ExecConfig::default().with_cancel(token);
-        let (out, stats) =
-            run_specs_cached(&Pool::new(2), 0, &specs, Some(&cache), exec, |_, _| {});
-        assert_eq!(stats.events, 0, "cancelled specs dispatch no events");
-        assert!(stats.timings.is_empty(), "cancelled specs record no cost");
-        for r in &out {
-            assert_eq!(r.as_ref().unwrap_err(), CANCELLED);
+        let (out, run) = execute(2, &plan, Some(&cache), exec);
+        assert_eq!(run.events, 0, "cancelled specs dispatch no events");
+        assert!(run.timings.is_empty(), "cancelled specs record no cost");
+        for r in outcomes(&out) {
+            assert_eq!(r.unwrap_err(), CANCELLED);
         }
         assert!(cache.entries().is_empty(), "cancelled specs never cached");
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -1752,14 +1568,16 @@ mod tests {
                 work: 4,
             })
             .collect();
+        let plan = Plan::for_experiment("live", specs);
         let t = token.clone();
         let progress = move |_done: usize, _total: usize| t.cancel();
         let exec = ExecConfig::default().with_cancel(token);
-        let (out, _) = run_specs_cached(&Pool::new(1), 0, &specs, None, exec, progress);
+        let (out, _) = run_plan_cached(&Pool::new(1), 0, &plan, None, None, exec, progress, |_| {});
+        let out = outcomes(&out);
         let cancelled = out.iter().filter(|r| r.is_err()).count();
         let finished = out.iter().filter(|r| r.is_ok()).count();
-        assert_eq!(cancelled + finished, specs.len());
-        assert!(cancelled >= specs.len() - 1, "cancellation did not drain");
+        assert_eq!(cancelled + finished, out.len());
+        assert!(cancelled >= out.len() - 1, "cancellation did not drain");
         for r in out.iter().filter(|r| r.is_err()) {
             assert_eq!(r.as_ref().unwrap_err(), CANCELLED);
         }

@@ -3,19 +3,17 @@
 //! The pool executes a *static* batch of tasks: indices are dealt
 //! round-robin onto per-worker deques up front, each worker drains its
 //! own deque from the front, and an idle worker steals from the back of
-//! its peers. On the plain [`Pool::run`] path tasks never spawn tasks,
-//! so one full fruitless victim scan means the batch is exhausted and
-//! the worker retires.
+//! its peers.
 //!
-//! [`Pool::run_resumable`] relaxes exactly that invariant: a task step
+//! There is one scheduling loop, [`Pool::run_resumable`]: a task step
 //! may *yield* a continuation ([`TaskStep::Yield`]) instead of a result,
 //! and the pool re-enqueues it at the back of the finishing worker's
 //! deque — where an idle peer's steal picks it up first, so a straggler
 //! task migrates across workers slice by slice instead of pinning one.
-//! Because yielded work reappears after a worker's scan came up empty,
-//! retirement switches from "one fruitless scan" to "all slots
-//! completed": an empty-handed worker spins on [`std::thread::yield_now`]
-//! until the batch-wide completion count reaches the total.
+//! Because yielded work can reappear after a worker's scan came up
+//! empty, a worker retires only once every slot has completed: until
+//! then an empty-handed worker spins on [`std::thread::yield_now`].
+//! [`Pool::run`] is the same loop over one-step tasks.
 //!
 //! Results are written into per-task slots, so the returned vector is
 //! in task-submission order no matter which worker ran what — the
@@ -80,91 +78,26 @@ impl Pool {
         Self { threads }
     }
 
-    /// A pool sized to the machine ([`default_threads`]).
-    pub fn with_default_threads() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Executes every task, returning results in task order.
+    /// Executes every task, returning results in task order — a batch
+    /// of one-step [`Pool::run_resumable`] tasks.
     ///
     /// A panicking task yields `Err(payload)` in its slot and does not
     /// affect its neighbours or its worker.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
+    pub fn run<'a, T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
     where
         T: Send,
-        F: FnOnce() -> T + Send,
+        F: FnOnce() -> T + Send + 'a,
     {
-        self.run_with_progress(tasks, |_, _| {})
-    }
-
-    /// [`Pool::run`] with a completion callback: `progress(done, total)`
-    /// fires after each task finishes (from the finishing worker's
-    /// thread).
-    pub fn run_with_progress<T, F, P>(
-        &self,
-        tasks: Vec<F>,
-        progress: P,
-    ) -> Vec<std::thread::Result<T>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-        P: Fn(usize, usize) + Sync,
-    {
-        let total = tasks.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(total);
-        // One slot per task for the closure and for its result; a task
-        // is claimed by taking it out of its slot, so it runs at most
-        // once even if an index were ever handed out twice.
-        let task_slots: Vec<Mutex<Option<F>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let result_slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        // Deal indices round-robin so neighbouring (often similarly
-        // sized) jobs spread across workers from the start.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..total).step_by(workers).collect()))
-            .collect();
-        let done = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let task_slots = &task_slots;
-                let result_slots = &result_slots;
-                let done = &done;
-                let progress = &progress;
-                scope.spawn(move || {
-                    while let Some(idx) = pop_or_steal(queues, w) {
-                        let task = task_slots[idx]
-                            .lock()
-                            .expect("task slot poisoned")
-                            .take()
-                            .expect("task index dequeued twice");
-                        let result = catch_unwind(AssertUnwindSafe(task));
-                        *result_slots[idx].lock().expect("result slot poisoned") = Some(result);
-                        let finished = done.fetch_add(1, Ordering::AcqRel) + 1;
-                        progress(finished, total);
-                    }
-                });
-            }
-        });
-
-        result_slots
+        let tasks = tasks
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every task slot filled before the scope ends")
-            })
-            .collect()
+            .map(|task| Box::new(move || TaskStep::Done(task())) as ResumableTask<'a, T>)
+            .collect();
+        self.run_resumable(tasks, |_, _| {})
     }
 
     /// Executes a batch of resumable tasks, returning results in task
@@ -262,7 +195,8 @@ impl Pool {
 }
 
 /// Pops from the worker's own deque front, or steals from the back of
-/// the first non-empty peer. `None` means the whole batch is drained.
+/// the first non-empty peer. `None` means every deque is empty right
+/// now (a yielded continuation may still reappear).
 fn pop_or_steal(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
     if let Some(idx) = queues[own].lock().expect("queue poisoned").pop_front() {
         return Some(idx);
@@ -353,18 +287,6 @@ mod tests {
         let pool = Pool::new(4);
         let out: Vec<std::thread::Result<()>> = pool.run(Vec::<fn()>::new());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn progress_reaches_total() {
-        let max_seen = AtomicUsize::new(0);
-        let pool = Pool::new(4);
-        let tasks: Vec<_> = (0..20).map(|i| move || i).collect();
-        pool.run_with_progress(tasks, |done, total| {
-            assert!(done <= total);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-        });
-        assert_eq!(max_seen.load(Ordering::Relaxed), 20);
     }
 
     #[test]
