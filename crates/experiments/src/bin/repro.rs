@@ -14,7 +14,9 @@
 //! repro all --out results/       # one JSON file per table, spooled as
 //!                                # each experiment's last sim completes
 //! repro all --cache-dir cache/   # content-addressed sim cache: a repeat
-//!                                # run executes 0 sims (pure reduce pass)
+//!                                # run executes 0 sims (pure reduce pass);
+//!                                # concurrent runs sharing it execute
+//!                                # each sim once between them
 //! repro cache stats --cache-dir cache/           # entry/byte counts
 //! repro cache gc --keep-plan all --cache-dir cache/  # drop orphaned hashes
 //! repro cache clear --cache-dir cache/           # empty the cache
@@ -24,10 +26,6 @@
 //! repro dispatch all --workers 4 --cache-dir cache/
 //!                                # shard workers as supervised child
 //!                                # processes: timeouts, retries, auto-merge
-//! repro serve --listen 127.0.0.1:7077 --cache-dir cache/
-//!                                # resident sweep daemon (TCP or unix:PATH)
-//! repro submit all --connect 127.0.0.1:7077      # run a sweep on the daemon
-//! repro submit --connect 127.0.0.1:7077 --shutdown   # stop it
 //! repro bench-runner --bench-json BENCH_runner.json
 //!                                # sweep-throughput benchmark artifact
 //! ```
@@ -47,24 +45,24 @@
 //! the `EBRC_CACHE` environment variable) completed sims are stored
 //! under their content hash and served — validated — to later runs,
 //! so a repeated sweep after a reducer-only change is a pure reduce
-//! pass. Output is byte-identical at any thread count, any shard
+//! pass. Any number of `repro` processes may share one cache
+//! directory at once: a claim file per sim makes each sim execute in
+//! exactly one of them while the others wait for its entry, so
+//! concurrent sweeps need no server. Output is byte-identical at any thread count, any shard
 //! count, and any cache temperature. A panicking experiment is
 //! reported in the end-of-run summary and turns the exit code nonzero,
 //! without taking down the rest of the sweep.
 
 use ebrc_experiments::{
     all_experiments, global_plan, plan_run_catalogue_cached, scale_by_name, select_experiments,
-    table_file_name, CatalogueBackend, Experiment, ExperimentFailure, ExperimentReport, Plan,
-    Scale, SpecOutput, MASTER_SEED,
+    table_file_name, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale, SpecOutput,
+    MASTER_SEED,
 };
 use ebrc_runner::{
     panic_message, run_plan_cached, CacheCounters, DirCache, ExecConfig, OutputCache, Pool,
     Spec as _, SpecTiming, TraceConfig,
 };
-use ebrc_serve::{
-    client, supervise, DispatchConfig, DispatchEvent, Event, FaultKill, ListenAddr, Request,
-    Submission,
-};
+use ebrc_serve::{supervise, DispatchConfig, DispatchEvent, FaultKill};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -74,12 +72,11 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro (list | plan | run | merge | dispatch | serve | submit | \
+        "usage: repro (list | plan | run | merge | dispatch | \
          cache (stats|gc|clear) | bench-runner | <experiment-id>... | all) \
          [--scale quick|paper|tiny] [--json] [--out DIR] [--threads N] [--progress] \
          [--trace PATH] [--slice-events N] [--cache-dir DIR] [--keep-plan ID] [--dry-run] [--shard I/K] \
          [--shards K] [--shard-dir DIR] [--workers K] [--timeout-s N] [--retries N] \
-         [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] [--shutdown] \
          [--bench-json FILE] [--baseline FILE]"
     );
     ExitCode::from(2)
@@ -105,11 +102,6 @@ struct Options {
     workers: usize,
     timeout_s: u64,
     retries: u32,
-    listen: String,
-    connect: String,
-    ping: bool,
-    server_stats: bool,
-    shutdown: bool,
 }
 
 impl Options {
@@ -327,10 +319,6 @@ fn run_and_report(experiments: Vec<Box<dyn Experiment>>, opts: &Options) -> bool
     }
     let started = std::time::Instant::now();
     let show_progress = opts.progress;
-    // The executed sim count, as the progress callback sees it — no
-    // second decomposition pass, no way for banner and summary to
-    // disagree.
-    let total_sims = std::sync::atomic::AtomicUsize::new(0);
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
     let mut spooler = opts.out.as_deref().map(Spooler::new);
     let cache = opts.cache();
@@ -341,7 +329,6 @@ fn run_and_report(experiments: Vec<Box<dyn Experiment>>, opts: &Options) -> bool
         cache.as_ref().map(|c| c as &dyn OutputCache),
         exec,
         |done, total| {
-            total_sims.store(total, std::sync::atomic::Ordering::Relaxed);
             if show_progress {
                 eprint!("\r# progress {done}/{total} sims");
                 let _ = std::io::stderr().flush();
@@ -365,7 +352,9 @@ fn run_and_report(experiments: Vec<Box<dyn Experiment>>, opts: &Options) -> bool
     if let Some(c) = &cache {
         report_cache(run.cache, c.dir());
     }
-    let sims = total_sims.into_inner();
+    // Executed sims: misses, less those another process sharing the
+    // cache completed while this run waited on their claims.
+    let sims = run.cache.misses;
     let ok = summarize(
         &reports,
         &format!(
@@ -1031,199 +1020,6 @@ fn dispatch_sweep(targets: &[String], opts: &Options) -> ExitCode {
     merge_shards(targets, opts)
 }
 
-/// `repro serve`: the resident sweep daemon. Binds `--listen ADDR`
-/// (TCP `host:port` or `unix:PATH`), keeps the `--cache-dir` warm
-/// across submissions, and streams rendered tables to each client.
-/// Runs until a client sends `--shutdown`.
-fn serve_daemon(opts: &Options) -> ExitCode {
-    let backend = CatalogueBackend {
-        cache_dir: opts.cache_dir.clone(),
-        threads: opts.threads,
-        slice_events: opts.slice_events,
-    };
-    let addr = ListenAddr::parse(&opts.listen);
-    match ebrc_serve::serve(&addr, &backend, |local| {
-        eprintln!("# serve: listening on {local}");
-        match &backend.cache_dir {
-            Some(dir) => eprintln!("# serve: sharing cache {}", dir.display()),
-            None => eprintln!("# serve: no --cache-dir; submissions will not dedup"),
-        }
-    }) {
-        Ok(()) => {
-            eprintln!("# serve: shut down");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve failed on {addr}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro submit`: client for a running `repro serve`. Computes the
-/// plan fingerprint locally and sends it with the submission — the
-/// daemon refuses on mismatch, so a version-skewed client can never
-/// mislabel streamed tables. Stdout is byte-identical to running the
-/// same sweep locally.
-fn submit_sweep(targets: &[String], opts: &Options) -> ExitCode {
-    let addr = ListenAddr::parse(&opts.connect);
-    // One-shot control requests first.
-    if opts.ping || opts.server_stats || opts.shutdown {
-        let request = if opts.ping {
-            Request::Ping
-        } else if opts.server_stats {
-            Request::Stats
-        } else {
-            Request::Shutdown
-        };
-        return match client::request_one(&addr, &request) {
-            Ok(Event::Pong) => {
-                println!("pong from {addr}");
-                ExitCode::SUCCESS
-            }
-            Ok(Event::Stats(stats)) => {
-                println!(
-                    "serve {addr}: {} submission(s), {} sims executed, {} cache hit(s), \
-                     {} engine events",
-                    stats.submissions, stats.sims_executed, stats.cache_hits, stats.events,
-                );
-                ExitCode::SUCCESS
-            }
-            Ok(Event::Bye) => {
-                eprintln!("# serve at {addr} shutting down");
-                ExitCode::SUCCESS
-            }
-            Ok(other) => {
-                eprintln!("unexpected answer from {addr}: {other:?}");
-                ExitCode::FAILURE
-            }
-            Err(e) => {
-                eprintln!("cannot reach {addr}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // Compute the local fingerprint for the end-to-end version check.
-    let fingerprint = match select_experiments(targets) {
-        Ok(experiments) => {
-            try_global_plan(&experiments, opts.scale).map(|p| format!("{:016x}", p.fingerprint()))
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let submission = Submission {
-        targets: targets.to_vec(),
-        scale: opts.scale_name.to_string(),
-        fingerprint,
-    };
-    let mut out_seen: HashMap<String, String> = HashMap::new();
-    let mut write_failures = 0usize;
-    let mut chunk_errors = 0usize;
-    let show_progress = opts.progress;
-    let mut progressed = false;
-    let outcome = client::submit(&addr, submission, |event| match event {
-        Event::Accepted {
-            fingerprint,
-            unique_sims,
-            subscribed_sims,
-        } => {
-            eprintln!(
-                "# submit: accepted at {addr} — plan {fingerprint}, {unique_sims} unique sims \
-                 ({subscribed_sims} subscribed), scale {}",
-                opts.scale_name,
-            );
-        }
-        Event::Queued => eprintln!("# submit: queued behind another sweep"),
-        Event::Running => eprintln!("# submit: running"),
-        Event::Progress { done, total } => {
-            if show_progress {
-                eprint!("\r# progress {done}/{total} sims");
-                let _ = std::io::stderr().flush();
-                progressed = true;
-            }
-        }
-        Event::Report(chunk) => {
-            if progressed {
-                eprintln!();
-                progressed = false;
-            }
-            // Mirror render_reports byte for byte: header on stderr,
-            // server-rendered tables on stdout.
-            eprintln!(
-                "# {} — {} ({})",
-                chunk.experiment, chunk.title, chunk.paper_ref
-            );
-            if let Some(error) = &chunk.error {
-                eprintln!("#   {error}");
-                chunk_errors += 1;
-            }
-            for t in &chunk.tables {
-                if opts.json {
-                    println!("{}", t.json);
-                } else {
-                    println!("{}", t.render);
-                }
-                if let Some(dir) = &opts.out {
-                    if let Some(owner) = out_seen.get(&t.file_name) {
-                        eprintln!(
-                            "# table {:?} collides with {:?} on {}; not overwriting",
-                            t.name,
-                            owner,
-                            dir.join(&t.file_name).display()
-                        );
-                        write_failures += 1;
-                        continue;
-                    }
-                    out_seen.insert(t.file_name.clone(), t.name.clone());
-                    let path = dir.join(&t.file_name);
-                    if let Err(e) = std::fs::write(&path, &t.json) {
-                        eprintln!("# failed to write {}: {e}", path.display());
-                        write_failures += 1;
-                    }
-                }
-            }
-        }
-        Event::Done(_) | Event::Error { .. } => {}
-        other => eprintln!("# submit: unexpected event {other:?}"),
-    });
-    if progressed {
-        eprintln!();
-    }
-    match outcome {
-        Ok(Event::Done(summary)) => {
-            eprintln!(
-                "# summary: {} executed, {} cache hit(s), {} engine events, {} failed \
-                 in {:.1}s on the server",
-                summary.executed,
-                summary.cache_hits,
-                summary.events,
-                summary.failed,
-                summary.wall_s,
-            );
-            if summary.failed == 0 && chunk_errors == 0 && write_failures == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Ok(Event::Error { message }) => {
-            eprintln!("submit refused: {message}");
-            ExitCode::FAILURE
-        }
-        Ok(other) => {
-            eprintln!("unexpected terminal event: {other:?}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("submit to {addr} failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `repro cache (stats | gc --keep-plan <targets> | clear)`: inspect
 /// and maintain a content-addressed sim cache.
 ///
@@ -1261,14 +1057,27 @@ fn cache_command(targets: &[String], opts: &Options) -> ExitCode {
                 temp_bytes,
                 bytes + temp_bytes,
             );
+            // Claims of sweeps running now (live) and of sweeps that
+            // died mid-sim (stale; the next claimer or gc breaks them).
+            let claims = cache.claim_files();
+            let live = claims.iter().filter(|c| c.live).count();
+            println!(
+                "cache {}: {} claim(s) ({} live, {} stale)",
+                cache.dir().display(),
+                claims.len(),
+                live,
+                claims.len() - live,
+            );
             ExitCode::SUCCESS
         }
         Some("clear") if targets.len() == 1 => {
             let entries = cache.entries();
             let removed = entries.iter().filter(|e| cache.remove(e.hash)).count();
             let temps = cache.remove_temp_files();
+            let claims = cache.remove_stale_claims();
             eprintln!(
-                "# cache clear: removed {removed} of {} entries, {temps} temp file(s)",
+                "# cache clear: removed {removed} of {} entries, {temps} temp file(s), \
+                 {claims} stale claim(s)",
                 entries.len()
             );
             if removed == entries.len() {
@@ -1324,6 +1133,10 @@ fn cache_command(targets: &[String], opts: &Options) -> ExitCode {
                     doomed += 1;
                     doomed_bytes += temp.bytes;
                 }
+                for claim in cache.claim_files().iter().filter(|c| !c.live) {
+                    println!("would remove stale claim {}", claim.path.display());
+                    doomed += 1;
+                }
                 eprintln!(
                     "# cache gc (dry run): would keep {kept}, remove {doomed} ({doomed_bytes} \
                      bytes); nothing deleted",
@@ -1343,8 +1156,10 @@ fn cache_command(targets: &[String], opts: &Options) -> ExitCode {
                 }
             }
             let temps = cache.remove_temp_files();
+            let claims = cache.remove_stale_claims();
             eprintln!(
                 "# cache gc: kept {kept}, removed {removed} + {temps} temp file(s) \
+                 + {claims} stale claim(s) \
                  (keep-plan: {} unique sims at scale {})",
                 plan.unique_len(),
                 opts.scale_name,
@@ -1720,11 +1535,6 @@ fn main() -> ExitCode {
         workers: 2,
         timeout_s: 600,
         retries: 2,
-        listen: String::from("127.0.0.1:7077"),
-        connect: String::from("127.0.0.1:7077"),
-        ping: false,
-        server_stats: false,
-        shutdown: false,
     };
     let mut i = 0;
     while i < args.len() {
@@ -1818,9 +1628,6 @@ fn main() -> ExitCode {
                 }
             }
             "--dry-run" => opts.dry_run = true,
-            "--ping" => opts.ping = true,
-            "--server-stats" => opts.server_stats = true,
-            "--shutdown" => opts.shutdown = true,
             "--workers" => {
                 i += 1;
                 match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
@@ -1842,20 +1649,6 @@ fn main() -> ExitCode {
                     None => return usage(),
                 }
             }
-            "--listen" => {
-                i += 1;
-                match args.get(i) {
-                    Some(addr) if !addr.is_empty() => opts.listen = addr.clone(),
-                    _ => return usage(),
-                }
-            }
-            "--connect" => {
-                i += 1;
-                match args.get(i) {
-                    Some(addr) if !addr.is_empty() => opts.connect = addr.clone(),
-                    _ => return usage(),
-                }
-            }
             "--bench-json" => {
                 i += 1;
                 match args.get(i) {
@@ -1875,8 +1668,7 @@ fn main() -> ExitCode {
             // positional — `repro fig03 list` must not silently turn
             // into a catalogue listing (the stray word becomes an
             // unknown-experiment error instead).
-            s @ ("list" | "plan" | "run" | "merge" | "dispatch" | "serve" | "submit" | "cache"
-            | "bench-runner")
+            s @ ("list" | "plan" | "run" | "merge" | "dispatch" | "cache" | "bench-runner")
                 if command.is_none() && targets.is_empty() =>
             {
                 command = Some(s.to_string());
@@ -1895,8 +1687,6 @@ fn main() -> ExitCode {
         Some("run") => run_shard(&targets, &opts),
         Some("merge") => merge_shards(&targets, &opts),
         Some("dispatch") => dispatch_sweep(&targets, &opts),
-        Some("serve") => serve_daemon(&opts),
-        Some("submit") => submit_sweep(&targets, &opts),
         Some("cache") => cache_command(&targets, &opts),
         Some("bench-runner") => bench_runner(&opts),
         Some(_) => usage(),

@@ -35,7 +35,6 @@ pub mod figures;
 pub mod registry;
 pub mod scenarios;
 pub mod series;
-pub mod service;
 pub mod spec;
 
 pub use registry::{
@@ -44,5 +43,4 @@ pub use registry::{
     ExperimentReport, Plan, Scale, MASTER_SEED,
 };
 pub use series::{table_file_name, Table};
-pub use service::CatalogueBackend;
 pub use spec::{SimSpec, SpecOutput};

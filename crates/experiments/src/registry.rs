@@ -242,7 +242,7 @@ pub struct CatalogueRun {
 }
 
 /// Runs a set of experiments as one merged plan on the pool — the
-/// catalogue executor behind `repro`, the daemon, and the benchmark.
+/// catalogue executor behind `repro` and the benchmark.
 ///
 /// Builds one global plan (specs deduplicated across experiments),
 /// executes its unique specs on the pool — serving any spec whose
@@ -437,9 +437,8 @@ pub fn find_experiment(id: &str) -> Option<Box<dyn Experiment>> {
 }
 
 /// Resolves a scale name (`quick`, `paper`, or the undocumented test
-/// scale `tiny`) to the scale and its canonical name. The CLI and the
-/// sweep service share this so a daemon and its clients agree on what
-/// a name means.
+/// scale `tiny`) to the scale and its canonical name — the `--scale`
+/// vocabulary of `repro` and of the shard workers it dispatches.
 pub fn scale_by_name(name: &str) -> Option<(Scale, &'static str)> {
     match name {
         "quick" => Some((Scale::quick(), "quick")),

@@ -653,90 +653,149 @@ fn dispatch_gives_up_after_the_retry_budget_and_does_not_merge() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The resident service end to end through the real binary: daemon up,
-/// two submissions sharing one cache (the second executes zero sims),
-/// stdout byte-identical to the local run, clean shutdown.
-#[test]
-fn serve_and_submit_round_trip_with_cache_dedup() {
-    use std::io::BufRead as _;
+/// `(hits, misses)` from a run's `# cache:` stderr line.
+fn cache_counts(stderr: &[u8]) -> (usize, usize) {
+    let err = String::from_utf8_lossy(stderr);
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("# cache: "))
+        .unwrap_or_else(|| panic!("no cache line: {err}"));
+    let num = |word: &str| -> usize {
+        let (head, _) = line.split_once(word).unwrap();
+        head.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    (num(" hit(s)"), num(" miss(es)"))
+}
 
+/// The unique-sim count from a run's banner line.
+fn unique_sims(stderr: &[u8]) -> usize {
+    let err = String::from_utf8_lossy(stderr);
+    let (head, _) = err.split_once(" unique sims").expect("banner");
+    head.split_whitespace().last().unwrap().parse().unwrap()
+}
+
+/// The names of the claim files left in a cache directory.
+fn claim_files(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.contains(".claim"))
+        .collect()
+}
+
+/// Two sweeps sharing one cache directory at the same time: between
+/// them they execute every unique sim exactly once (the other process
+/// waits on the claim and reads the entry), and each prints the tables
+/// of a direct run.
+#[test]
+fn concurrent_runs_sharing_a_cache_execute_each_sim_once() {
     let ids = ["fig02", "fig05", "claim4"];
     let scale = ["--scale", "tiny"];
-    let base = scratch("serve");
-    let cdir = base.join("cache");
-    std::fs::create_dir_all(&cdir).unwrap();
+    let cdir = scratch("concurrent").join("cache");
 
     let direct = repro().args(ids).args(scale).output().unwrap();
     assert!(direct.status.success());
+    let unique = unique_sims(&direct.stderr);
 
-    let mut daemon = repro()
-        .args(["serve", "--listen", "127.0.0.1:0", "--cache-dir"])
-        .arg(&cdir)
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    // The daemon prints the resolved port once bound; read until then.
-    let mut stderr = std::io::BufReader::new(daemon.stderr.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        assert_ne!(stderr.read_line(&mut line).unwrap(), 0, "daemon died");
-        if let Some(rest) = line.trim().strip_prefix("# serve: listening on ") {
-            break rest.to_string();
-        }
-    };
-
-    let submit = |connect: &str| {
+    let spawn = || {
         repro()
-            .arg("submit")
             .args(ids)
             .args(scale)
-            .args(["--connect", connect])
+            .args(["--threads", "2", "--cache-dir"])
+            .arg(&cdir)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    let (a, b) = (spawn(), spawn());
+    let (a, b) = (a.wait_with_output().unwrap(), b.wait_with_output().unwrap());
+    let mut executed = 0;
+    for run in [&a, &b] {
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        assert_eq!(run.stdout, direct.stdout, "shared-cache run diverged");
+        let (hits, misses) = cache_counts(&run.stderr);
+        assert_eq!(hits + misses, unique);
+        executed += misses;
+    }
+    assert_eq!(executed, unique, "sims executed twice or not at all");
+    assert!(claim_files(&cdir).is_empty(), "claims left behind");
+
+    let third = repro()
+        .args(ids)
+        .args(scale)
+        .arg("--cache-dir")
+        .arg(&cdir)
+        .output()
+        .unwrap();
+    assert_eq!(third.stdout, direct.stdout);
+    assert_eq!(cache_counts(&third.stderr), (unique, 0));
+    let _ = std::fs::remove_dir_all(cdir.parent().unwrap());
+}
+
+/// A claim left by a process that died mid-sim must not block the sim:
+/// the next run breaks it, executes the sim, and releases its own claim.
+#[test]
+fn a_dead_processes_claim_does_not_block_its_sim() {
+    let ids = ["fig02", "fig05", "claim4"];
+    let scale = ["--scale", "tiny"];
+    let cdir = scratch("dead-claim").join("cache");
+    let run = || {
+        repro()
+            .args(ids)
+            .args(scale)
+            .arg("--cache-dir")
+            .arg(&cdir)
             .output()
             .unwrap()
     };
-    let first = submit(&addr);
-    let err = String::from_utf8_lossy(&first.stderr);
-    assert!(first.status.success(), "first submit: {err}");
-    assert_eq!(first.stdout, direct.stdout, "streamed tables diverged");
-    assert!(err.contains("# submit: accepted"), "stderr: {err}");
+    let cold = run();
+    assert!(cold.status.success());
+    let unique = unique_sims(&cold.stderr);
 
-    // Same fingerprint again: the daemon's cache serves every sim.
-    let second = submit(&addr);
-    assert!(second.status.success());
-    assert_eq!(second.stdout, first.stdout, "repeat submission diverged");
-    let err = String::from_utf8_lossy(&second.stderr);
+    // A reaped child: its pid is gone, its start time was real.
+    let mut child = Command::new("true").spawn().unwrap();
+    let pid = child.id();
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat"));
+    child.wait().unwrap();
+    let Ok(stat) = stat else {
+        return; // no /proc: claims are never taken
+    };
+    let (_, fields) = stat.rsplit_once(')').unwrap();
+    let start = fields.split_whitespace().nth(22 - 3).unwrap();
+
+    // Forget one sim's entry and leave the dead process's claim on it.
+    let entry = std::fs::read_dir(&cdir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .unwrap();
+    std::fs::remove_file(&entry).unwrap();
+    let claim = entry.with_extension("claim");
+    std::fs::write(&claim, format!("{pid} {start}\n")).unwrap();
+
+    let stats = repro()
+        .args(["cache", "stats", "--cache-dir"])
+        .arg(&cdir)
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&stats.stdout);
     assert!(
-        err.contains("# summary: 0 executed"),
-        "dedup failed — second submission executed sims: {err}"
+        text.contains("1 claim(s) (0 live, 1 stale)"),
+        "stats: {text}"
     );
 
-    let ping = repro()
-        .args(["submit", "--ping", "--connect", &addr])
-        .output()
-        .unwrap();
-    assert!(ping.status.success());
-    assert!(String::from_utf8_lossy(&ping.stdout).contains("pong"));
-
-    let down = repro()
-        .args(["submit", "--shutdown", "--connect", &addr])
-        .output()
-        .unwrap();
-    assert!(down.status.success());
-    let status = daemon.wait().unwrap();
-    assert!(status.success(), "daemon exited uncleanly");
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-#[test]
-fn submit_against_nothing_fails_cleanly() {
-    // Port 1 on localhost: connection refused, not a hang.
-    let out = repro()
-        .args(["submit", "fig02", "--connect", "127.0.0.1:1"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("127.0.0.1:1"), "stderr: {err}");
+    let rerun = run();
+    assert!(rerun.status.success());
+    assert_eq!(rerun.stdout, cold.stdout);
+    assert_eq!(cache_counts(&rerun.stderr), (unique - 1, 1));
+    assert!(entry.exists(), "the sim's entry was not rewritten");
+    assert!(claim_files(&cdir).is_empty(), "claims left behind");
+    let _ = std::fs::remove_dir_all(cdir.parent().unwrap());
 }
 
 #[test]

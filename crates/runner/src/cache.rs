@@ -25,10 +25,40 @@
 //! concurrent shard processes sharing one cache directory cannot
 //! observe torn entries; because entries are content-addressed,
 //! last-writer-wins races replace identical bytes.
+//!
+//! # Claims: cross-process dedup of in-flight work
+//!
+//! Any number of processes may run sweeps against one cache directory
+//! at once. Before executing a miss, the executor takes a *claim* on
+//! its content hash ([`OutputCache::claim`]). [`DirCache`] implements a
+//! claim as a file `<hash:016x>.claim` holding the holder's pid and
+//! process start time (field 22 of `/proc/<pid>/stat`). It is written
+//! to a temp file first and published with [`std::fs::hard_link`],
+//! which fails if the claim already exists — so exactly one process
+//! wins, and no reader ever sees a half-written claim. The winner
+//! re-probes the cache, executes only if the entry is still missing,
+//! stores the output, and then releases the claim. A process that
+//! meets a live claim waits for the holder's entry instead of
+//! executing.
+//!
+//! A claim whose holder is gone is *stale*: its pid no longer exists,
+//! the pid's start time differs (the pid was reused), or the file does
+//! not parse. A stale claim is broken and retried. On hosts without
+//! `/proc` no claim is taken at all, and every sweep executes its own
+//! misses.
+//!
+//! The guarantee: when no holder dies, every spec executes exactly
+//! once across all processes sharing the directory. After a crash the
+//! worst case is duplicate work (the dead holder's claim is broken,
+//! and two processes breaking it at once may both execute). An entry
+//! is never wrong or torn, because claims only decide *who* executes;
+//! entries are validated on every load as before.
 
 use crate::plan::{stable_hash, Spec};
 use serde::Value;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Version of the on-disk entry layout *and* of the payload encodings
 /// feeding it. Bump whenever either changes shape — stale entries then
@@ -68,6 +98,107 @@ pub trait OutputCache: Sync {
 
     /// Stores `payload` for `(hash, key)`, best effort.
     fn store(&self, hash: u64, key: &str, payload: &str);
+
+    /// Claims the right to execute the spec with this content hash (see
+    /// the module docs). The default does no coordination: every claim
+    /// is won, and the guard holds nothing.
+    fn claim(&self, hash: u64) -> Claim {
+        let _ = hash;
+        Claim::Won(ClaimGuard::default())
+    }
+}
+
+/// The outcome of [`OutputCache::claim`].
+#[derive(Debug)]
+pub enum Claim {
+    /// The caller may execute the spec; dropping the guard releases the
+    /// claim, so drop it only after storing the output.
+    Won(ClaimGuard),
+    /// A live process holds the claim and is executing the spec.
+    Held,
+}
+
+/// A won claim, released on drop. A guard holding no file stands for a
+/// cache that does no coordination.
+#[derive(Debug, Default)]
+pub struct ClaimGuard(Option<PathBuf>);
+
+impl ClaimGuard {
+    /// Whether this guard holds a claim file — that is, whether another
+    /// process may have stored the entry since the caller last probed.
+    pub fn is_held(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+impl Drop for ClaimGuard {
+    fn drop(&mut self) {
+        if let Some(path) = &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// A claim file's holder: pid and process start time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Holder {
+    pid: u32,
+    start: u64,
+}
+
+impl Holder {
+    /// The claim file contents naming this holder.
+    fn render(self) -> String {
+        format!("{} {}\n", self.pid, self.start)
+    }
+
+    /// Parses claim file contents. Only the exact rendering of some
+    /// holder parses; anything else (truncated, flipped, padded,
+    /// non-UTF-8) is `None` and reads as stale.
+    fn parse(bytes: &[u8]) -> Option<Self> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        let (pid, start) = text.strip_suffix('\n')?.split_once(' ')?;
+        let holder = Holder {
+            pid: pid.parse().ok()?,
+            start: start.parse().ok()?,
+        };
+        (holder.render() == text).then_some(holder)
+    }
+
+    /// The holder of the running process, or `None` without `/proc`.
+    fn me() -> Option<Self> {
+        static ME: OnceLock<Option<Holder>> = OnceLock::new();
+        *ME.get_or_init(|| {
+            let pid = std::process::id();
+            Some(Holder {
+                pid,
+                start: process_start_time(pid)?,
+            })
+        })
+    }
+
+    /// Whether the claim file contents name a process that is still
+    /// running: it parses, and `start_of` reports that pid with the
+    /// same start time.
+    fn is_live(bytes: &[u8], start_of: impl Fn(u32) -> Option<u64>) -> bool {
+        Holder::parse(bytes).is_some_and(|h| start_of(h.pid) == Some(h.start))
+    }
+}
+
+/// A process's start time in clock ticks since boot, or `None` when
+/// the process does not exist or `/proc` is unavailable.
+fn process_start_time(pid: u32) -> Option<u64> {
+    parse_stat_start(&std::fs::read(format!("/proc/{pid}/stat")).ok()?)
+}
+
+/// Field 22 (`starttime`) of a `/proc/<pid>/stat` line. The second
+/// field, `comm`, is parenthesized and may itself hold spaces and `)`,
+/// so fields are counted from after the *last* `)`: the first field
+/// there is field 3.
+fn parse_stat_start(stat: &[u8]) -> Option<u64> {
+    let close = stat.iter().rposition(|&b| b == b')')?;
+    let rest = std::str::from_utf8(&stat[close + 1..]).ok()?;
+    rest.split_ascii_whitespace().nth(22 - 3)?.parse().ok()
 }
 
 /// A [`Spec`] whose output serializes losslessly to text — the
@@ -126,6 +257,11 @@ impl DirCache {
         self.dir.join(format!("{hash:016x}.json"))
     }
 
+    /// The claim file for a content hash.
+    fn claim_path(&self, hash: u64) -> PathBuf {
+        self.dir.join(format!("{hash:016x}.claim"))
+    }
+
     /// Parses and validates one entry's text against its file-name
     /// hash, returning `(key, payload)` — every check a load applies,
     /// minus the caller's key comparison.
@@ -162,7 +298,7 @@ impl DirCache {
             let Some(stem) = name.strip_suffix(".json") else {
                 continue;
             };
-            if stem.len() != 16 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
+            if !is_hash_stem(stem) {
                 continue;
             }
             let Ok(hash) = u64::from_str_radix(stem, 16) else {
@@ -188,11 +324,13 @@ impl DirCache {
         std::fs::remove_file(self.entry_path(hash)).is_ok()
     }
 
-    /// Scans for orphaned temp files (`<hash:016x>.tmp.<pid>`) left by
-    /// writers that died between write and rename. Live writers hold a
-    /// temp file only for the instant before the atomic rename, so
-    /// anything a scan observes is almost certainly a crash residue;
-    /// the load path never looks at temp files, they only waste disk.
+    /// Scans for orphaned temp files (`<hash:016x>.tmp.<pid>` for
+    /// entries, `<hash:016x>.claim.tmp.<pid>` for claims) left by
+    /// writers that died between write and publish. Live writers hold a
+    /// temp file only for the instant before the atomic rename or hard
+    /// link, so anything a scan observes is almost certainly a crash
+    /// residue; the load path never looks at temp files, they only
+    /// waste disk.
     pub fn temp_files(&self) -> Vec<TempFile> {
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
@@ -203,11 +341,8 @@ impl DirCache {
             let Some((stem, pid)) = name.split_once(".tmp.") else {
                 continue;
             };
-            if stem.len() != 16
-                || !stem.bytes().all(|b| b.is_ascii_hexdigit())
-                || pid.is_empty()
-                || !pid.bytes().all(|b| b.is_ascii_digit())
-            {
+            let stem = stem.strip_suffix(".claim").unwrap_or(stem);
+            if !is_hash_stem(stem) || pid.is_empty() || !pid.bytes().all(|b| b.is_ascii_digit()) {
                 continue;
             }
             let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
@@ -230,6 +365,52 @@ impl DirCache {
             .filter(|t| std::fs::remove_file(&t.path).is_ok())
             .count()
     }
+
+    /// Scans for claim files (`<hash:016x>.claim`), each judged live or
+    /// stale as a claiming process would judge it.
+    pub fn claim_files(&self) -> Vec<ClaimFile> {
+        let Ok(dir) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for entry in dir.flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if !name.strip_suffix(".claim").is_some_and(is_hash_stem) {
+                continue;
+            }
+            let live = std::fs::read(entry.path())
+                .is_ok_and(|bytes| Holder::is_live(&bytes, process_start_time));
+            out.push(ClaimFile {
+                path: entry.path(),
+                live,
+            });
+        }
+        out.sort();
+        out
+    }
+
+    /// Deletes every stale claim file, returning how many were removed.
+    /// Live claims are left alone: their holders are still executing.
+    pub fn remove_stale_claims(&self) -> usize {
+        self.claim_files()
+            .iter()
+            .filter(|c| !c.live && std::fs::remove_file(&c.path).is_ok())
+            .count()
+    }
+}
+
+/// Whether a file-name stem is a 16-hex-digit content hash.
+fn is_hash_stem(stem: &str) -> bool {
+    stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+/// A claim file found by [`DirCache::claim_files`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ClaimFile {
+    /// Full path of the claim file.
+    pub path: PathBuf,
+    /// Whether its holder is still running.
+    pub live: bool,
 }
 
 /// An orphaned writer temp file found by [`DirCache::temp_files`].
@@ -280,6 +461,46 @@ impl OutputCache for DirCache {
         if std::fs::rename(&tmp, self.entry_path(hash)).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
+    }
+
+    fn claim(&self, hash: u64) -> Claim {
+        // Without /proc no holder can be judged live: claim nothing.
+        let Some(me) = Holder::me() else {
+            return Claim::Won(ClaimGuard::default());
+        };
+        let path = self.claim_path(hash);
+        let tmp = self.dir.join(format!("{hash:016x}.claim.tmp.{}", me.pid));
+        if std::fs::create_dir_all(&self.dir).is_err() || std::fs::write(&tmp, me.render()).is_err()
+        {
+            return Claim::Won(ClaimGuard::default());
+        }
+        // Each pass either publishes our claim, finds a live holder, or
+        // clears the way (a stale claim broken, a released one gone);
+        // a directory churning past the bound is treated as held and
+        // retried later.
+        let mut outcome = Claim::Held;
+        for _ in 0..4 {
+            match std::fs::hard_link(&tmp, &path) {
+                Ok(()) => {
+                    outcome = Claim::Won(ClaimGuard(Some(path)));
+                    break;
+                }
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => match std::fs::read(&path) {
+                    Ok(bytes) if Holder::is_live(&bytes, process_start_time) => break,
+                    Ok(_) => {
+                        let _ = std::fs::remove_file(&path);
+                    }
+                    Err(_) => {}
+                },
+                // No hard links here: run uncoordinated, as without /proc.
+                Err(_) => {
+                    outcome = Claim::Won(ClaimGuard::default());
+                    break;
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&tmp);
+        outcome
     }
 }
 
@@ -447,5 +668,175 @@ mod tests {
         cache.store(hash, key, payload);
         assert_eq!(cache.load(hash, key).as_deref(), Some(payload));
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A process that has exited and been reaped, with the start time
+    /// it had while it ran: a claim naming it is stale.
+    fn dead_holder() -> Holder {
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let pid = child.id();
+        // Until it is reaped, the child's /proc entry stays readable.
+        let start = process_start_time(pid).unwrap();
+        child.wait().unwrap();
+        Holder { pid, start }
+    }
+
+    #[test]
+    fn a_dead_holders_claim_is_broken_and_removed() {
+        let Some(me) = Holder::me() else {
+            return; // no /proc: claims are never taken
+        };
+        let cache = DirCache::new(scratch("dead-claim"));
+        let hash = stable_hash("toy/a/v1");
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        let seed = || std::fs::write(cache.claim_path(hash), dead_holder().render()).unwrap();
+
+        // gc's sweep finds the claim stale and removes it.
+        seed();
+        let claims = cache.claim_files();
+        assert_eq!(claims.len(), 1);
+        assert!(!claims[0].live);
+        assert_eq!(cache.remove_stale_claims(), 1);
+        assert!(!cache.claim_path(hash).exists());
+
+        // A claiming process breaks it and takes the claim itself.
+        seed();
+        let Claim::Won(guard) = cache.claim(hash) else {
+            panic!("a dead holder blocked the claim");
+        };
+        assert!(guard.is_held());
+        let text = std::fs::read(cache.claim_path(hash)).unwrap();
+        assert_eq!(Holder::parse(&text), Some(me));
+        assert!(cache.claim_files()[0].live);
+        drop(guard);
+        assert!(cache.claim_files().is_empty(), "release removes the claim");
+        assert!(cache.temp_files().is_empty(), "no claim temp left behind");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_live_holders_claim_is_left_alone() {
+        let Some(me) = Holder::me() else {
+            return; // no /proc: claims are never taken
+        };
+        let cache = DirCache::new(scratch("live-claim"));
+        let hash = stable_hash("toy/a/v1");
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        std::fs::write(cache.claim_path(hash), me.render()).unwrap();
+        assert!(matches!(cache.claim(hash), Claim::Held));
+        let claims = cache.claim_files();
+        assert_eq!(claims.len(), 1);
+        assert!(claims[0].live);
+        assert_eq!(cache.remove_stale_claims(), 0);
+        assert_eq!(cache.remove_temp_files(), 0);
+        assert_eq!(
+            std::fs::read(cache.claim_path(hash)).unwrap(),
+            me.render().as_bytes()
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn claims_are_exclusive_until_released() {
+        if Holder::me().is_none() {
+            return; // no /proc: claims are never taken
+        }
+        let cache = DirCache::new(scratch("exclusive"));
+        let hash = stable_hash("toy/a/v1");
+        let Claim::Won(guard) = cache.claim(hash) else {
+            panic!("first claim on an empty cache must win");
+        };
+        assert!(matches!(cache.claim(hash), Claim::Held));
+        // Garbage under another hash reads as stale and is broken.
+        let other = stable_hash("toy/b/v2");
+        std::fs::write(cache.claim_path(other), "garbage").unwrap();
+        assert!(matches!(cache.claim(other), Claim::Won(g) if g.is_held()));
+        drop(guard);
+        assert!(matches!(cache.claim(hash), Claim::Won(g) if g.is_held()));
+        assert!(cache.claim_files().is_empty());
+        // A killed claimer's temp file is writer residue for gc.
+        let orphan = cache.dir().join(format!("{hash:016x}.claim.tmp.99999"));
+        std::fs::write(&orphan, "1 2\n").unwrap();
+        assert_eq!(cache.temp_files().len(), 1);
+        assert_eq!(cache.remove_temp_files(), 1);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn own_start_time_comes_from_proc_stat() {
+        let Some(me) = Holder::me() else {
+            return; // no /proc
+        };
+        assert_eq!(me.pid, std::process::id());
+        let stat = std::fs::read("/proc/self/stat").unwrap();
+        assert_eq!(parse_stat_start(&stat), Some(me.start));
+        assert!(Holder::is_live(me.render().as_bytes(), process_start_time));
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The one holder the fake process table below reports as running.
+    const LIVE: Holder = Holder {
+        pid: 4242,
+        start: 987_654,
+    };
+
+    fn fake_start_of(pid: u32) -> Option<u64> {
+        (pid == LIVE.pid).then_some(LIVE.start)
+    }
+
+    /// Characters a `comm` may hold that a naive stat parser trips on.
+    const COMM_CHARS: [char; 8] = [')', '(', ' ', 'a', '7', '\t', ':', 'é'];
+
+    proptest! {
+        #[test]
+        fn claim_reader_reads_arbitrary_bytes_as_stale(bytes in vec(any::<u8>(), 0..48)) {
+            let live = Holder::is_live(&bytes, fake_start_of);
+            prop_assert_eq!(live, bytes == LIVE.render().as_bytes());
+            if let Some(h) = Holder::parse(&bytes) {
+                prop_assert_eq!(h.render().into_bytes(), bytes.clone());
+            }
+        }
+
+        #[test]
+        fn truncated_or_flipped_claims_never_read_live(
+            cut in 0usize..32,
+            at in 0usize..32,
+            bit in 0u8..8,
+        ) {
+            let text = LIVE.render().into_bytes();
+            prop_assert!(Holder::is_live(&text, fake_start_of));
+            let truncated = &text[..cut.min(text.len() - 1)];
+            prop_assert!(!Holder::is_live(truncated, fake_start_of));
+            let mut flipped = text.clone();
+            flipped[at % text.len()] ^= 1 << bit;
+            prop_assert!(!Holder::is_live(&flipped, fake_start_of));
+        }
+
+        #[test]
+        fn stat_reader_counts_fields_after_the_last_paren(
+            comm in vec(0usize..COMM_CHARS.len(), 0..16),
+            start in any::<u64>(),
+            cut in 0usize..400,
+        ) {
+            let comm: String = comm.into_iter().map(|i| COMM_CHARS[i]).collect();
+            // Fields 3..=21, then starttime (22), then a tail.
+            let mid: Vec<String> = (3..22).map(|f| f.to_string()).collect();
+            let line = format!("77 ({comm}) {} {start} 5 6 7\n", mid.join(" "));
+            prop_assert_eq!(parse_stat_start(line.as_bytes()), Some(start));
+            // A line cut before starttime has no field 22; no cut panics.
+            let bytes = &line.as_bytes()[..cut.min(line.len())];
+            let before = line.rfind(&format!(" {start} 5 6 7")).unwrap();
+            let got = parse_stat_start(bytes);
+            if cut <= before {
+                prop_assert_eq!(got, None);
+            }
+        }
+
+        #[test]
+        fn stat_reader_survives_arbitrary_bytes(bytes in vec(any::<u8>(), 0..256)) {
+            let _ = parse_stat_start(&bytes);
+        }
     }
 }

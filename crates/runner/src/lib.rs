@@ -10,8 +10,10 @@
 //! shard of it) on a [`Pool`] of work-stealing workers built from `std`
 //! primitives only, serves validated hits from an optional [`cache`]
 //! ([`DirCache`] stores each completed spec's serialized output under
-//! its content hash and writes misses back atomically), and reduces
-//! each subscription the moment its last spec completes.
+//! its content hash, writes misses back atomically, and lets
+//! concurrent processes sharing its directory execute each spec once
+//! through claim files), and reduces each subscription the moment its
+//! last spec completes.
 //! [`Plan::run_sequential`] is its pool-free oracle.
 //!
 //! The contract that makes parallelism safe for a *reproduction* is
@@ -32,12 +34,12 @@ pub mod plan;
 pub mod pool;
 
 pub use cache::{
-    CacheCounters, CacheEntry, CacheableSpec, DirCache, OutputCache, TempFile, CACHE_FORMAT,
+    CacheCounters, CacheEntry, CacheableSpec, Claim, ClaimFile, ClaimGuard, DirCache, OutputCache,
+    TempFile, CACHE_FORMAT,
 };
 pub use job::JobCtx;
 pub use plan::{
-    run_plan_cached, stable_hash, CancelToken, ExecConfig, Plan, RunStats, SliceStep, SlicedRun,
-    Spec, SpecFailures, SpecResult, SpecTiming, Subscription, SubscriptionResult, TraceConfig,
-    CANCELLED,
+    run_plan_cached, stable_hash, ExecConfig, Plan, RunStats, SliceStep, SlicedRun, Spec,
+    SpecFailures, SpecResult, SpecTiming, Subscription, SubscriptionResult, TraceConfig,
 };
 pub use pool::{default_threads, panic_message, Pool, ResumableTask, TaskStep};

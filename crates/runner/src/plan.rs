@@ -36,47 +36,15 @@
 //! bit-identical to the sequential path at any thread count, slice
 //! budget, or submission order.
 
-use crate::cache::{CacheCounters, CacheableSpec, OutputCache};
+use crate::cache::{CacheCounters, CacheableSpec, Claim, ClaimGuard, OutputCache};
 use crate::job::JobCtx;
 use crate::pool::{panic_message, Pool, ResumableTask, TaskStep};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// Cooperative cancellation for an in-flight sweep.
-///
-/// A token is shared between the party that may abort (a daemon whose
-/// client disconnected, a supervisor tearing a sweep down) and the
-/// executor, via [`ExecConfig::cancel`]. Cancellation is checked at
-/// every pool step boundary: specs not yet started and the remaining
-/// slices of sliced specs fail fast with a `"cancelled"` error instead
-/// of executing, so a cancelled sweep drains in at most one slice per
-/// worker. Cancelled specs are never written to the cache.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-/// The error message a cancelled spec reports.
-pub const CANCELLED: &str = "cancelled";
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; every clone of the token observes it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
+use std::time::{Duration, Instant};
 
 /// Wall-clock accounting of one *executed* spec, accumulated across
 /// its slices when the sliced path is active. Cache hits execute
@@ -169,10 +137,6 @@ pub struct ExecConfig {
     /// instead of pinning one. `None` runs every spec monolithically.
     /// Output is bit-identical either way.
     pub slice_events: Option<u64>,
-    /// When set, the run polls this token at every pool step boundary
-    /// and fails not-yet-started specs (and the remaining slices of
-    /// sliced specs) with [`CANCELLED`] instead of executing them.
-    pub cancel: Option<CancelToken>,
     /// When set, every selected spec executes (cache probing is
     /// skipped) with its [`JobCtx`] trace path set, so tracing-aware
     /// specs record a trace file per [`TraceConfig::path_for`].
@@ -186,12 +150,6 @@ impl ExecConfig {
             slice_events: Some(budget),
             ..Self::default()
         }
-    }
-
-    /// This config with cancellation observed from `token`.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
     }
 
     /// This config with tracing per `trace`.
@@ -540,6 +498,12 @@ pub struct SubscriptionResult<S: Spec> {
 /// or key-mismatched) reads as a miss and re-executes; it can never
 /// poison a reduce. With `cache: None` every spec is a miss.
 ///
+/// Before its first slice, each miss claims its content hash
+/// ([`OutputCache::claim`]), so concurrent processes sharing a cache
+/// directory execute each spec once: a miss whose claim is held by a
+/// live process waits for that process's entry and completes as a hit.
+/// Hits never touch a claim, and traced runs take none.
+///
 /// Every miss runs as a chain of [`Spec::start_sliced`] slices under
 /// [`ExecConfig::slice_events`] (`u64::MAX`, i.e. one slice, when
 /// slicing is off), submitted longest-first by [`Spec::cost_hint`].
@@ -551,7 +515,7 @@ pub struct SubscriptionResult<S: Spec> {
 /// [`Arc`]) are returned keyed by unique-spec index; specs outside
 /// `only` yield `None`.
 ///
-/// `progress` counts executed specs only, so a fully warm run reports
+/// `progress` counts the misses' tasks, so a fully warm run reports
 /// zero sims. The returned [`RunStats`] split the selected specs into
 /// hits and misses, total the engine events the misses dispatched, and
 /// carry one [`SpecTiming`] row per executed spec.
@@ -649,25 +613,27 @@ pub fn run_plan_cached<S: CacheableSpec>(
     // like a finished run — and the misses the pool actually executes.
     // Probing is sequential on the coordinating thread: a full warm
     // probe of the quick catalogue measures in tens of milliseconds,
-    // far below the cost of a single sim. A traced run skips probing:
-    // a cache hit produces no trace.
+    // far below the cost of a single sim. A traced run skips probing
+    // and claims: a cache hit produces no trace.
     let probe = if exec.trace.is_some() { None } else { cache };
-    let mut to_run: Vec<usize> = Vec::with_capacity(selected.len());
-    let mut counters = CacheCounters::default();
-    for &idx in &selected {
+    let try_hit = |idx: usize| -> bool {
         let hit = probe.and_then(|c| {
             let text = c.load(plan.spec_hashes()[idx], &plan.specs()[idx].key())?;
             S::decode_output(&text).ok()
         });
-        match hit {
-            Some(out) => {
-                counters.hits += 1;
-                complete(idx, Ok(Arc::new(out)));
-            }
-            None => to_run.push(idx),
+        hit.map(|out| complete(idx, Ok(Arc::new(out)))).is_some()
+    };
+    let to_run: Vec<usize> = selected.iter().copied().filter(|&i| !try_hit(i)).collect();
+    // Misses another process completed while this run waited on its
+    // claim: they count as hits.
+    let late_hits = AtomicUsize::new(0);
+    let late_hit = |idx: usize| -> bool {
+        let hit = try_hit(idx);
+        if hit {
+            late_hits.fetch_add(1, Ordering::Relaxed);
         }
-    }
-    counters.misses = to_run.len();
+        hit
+    };
 
     // Longest-first submission: the expensive sims start immediately
     // and the short tail backfills idle workers, instead of a straggler
@@ -677,7 +643,6 @@ pub fn run_plan_cached<S: CacheableSpec>(
     let events_total = AtomicU64::new(0);
     let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
     let budget = exec.slice_events.unwrap_or(u64::MAX);
-    let cancel = exec.cancel.clone();
     let finish =
         |idx: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
             let result = outcome.map(|(out, events)| {
@@ -696,6 +661,7 @@ pub fn run_plan_cached<S: CacheableSpec>(
             });
             complete(idx, result);
         };
+    let finish = &finish;
     let tasks: Vec<ResumableTask<()>> = to_run
         .iter()
         .map(|&idx| {
@@ -704,20 +670,17 @@ pub fn run_plan_cached<S: CacheableSpec>(
             if let Some(tc) = &exec.trace {
                 ctx.set_trace_path(tc.path_for(&spec.key()));
             }
-            slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
-                budget,
-                0.0,
-                0,
-                cancel.as_ref(),
-                &finish,
-            )
+            let first = Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget));
+            let run = move |claim| slice_chain(idx, ctx, first, budget, 0.0, 0, claim, finish);
+            match probe {
+                Some(c) => claimed(idx, plan.spec_hashes()[idx], c, &late_hit, run),
+                None => run(ClaimGuard::default()),
+            }
         })
         .collect();
     pool.run_resumable(tasks, progress);
 
+    let late_hits = late_hits.into_inner();
     let mut timings = timings.into_inner().expect("timings poisoned");
     timings.sort_by(|a, b| a.key.cmp(&b.key));
     (
@@ -726,11 +689,46 @@ pub fn run_plan_cached<S: CacheableSpec>(
             .map(|slot| slot.into_inner().expect("result slot poisoned"))
             .collect(),
         RunStats {
-            cache: counters,
+            cache: CacheCounters {
+                hits: selected.len() - to_run.len() + late_hits,
+                misses: to_run.len() - late_hits,
+            },
             events: events_total.into_inner(),
             timings,
         },
     )
+}
+
+/// How long a miss waits before re-probing a spec another live process
+/// has claimed. Waiting tasks sleep on their worker, so a pool holding
+/// only parked tasks does not spin.
+const CLAIM_WAIT: Duration = Duration::from_millis(2);
+
+/// A miss's first step under cross-process claims. A won claim re-probes
+/// the cache (another process may have stored the entry since this
+/// run's probe) and otherwise starts `run`, which holds the claim until
+/// the output is stored. A claim held by a live process re-probes, and
+/// completes as a hit or waits and yields to try again.
+fn claimed<'a, H, R>(
+    idx: usize,
+    hash: u64,
+    cache: &'a dyn OutputCache,
+    try_hit: &'a H,
+    run: R,
+) -> ResumableTask<'a, ()>
+where
+    H: Fn(usize) -> bool + Sync,
+    R: FnOnce(ClaimGuard) -> ResumableTask<'a, ()> + Send + 'a,
+{
+    Box::new(move || match cache.claim(hash) {
+        Claim::Won(guard) if guard.is_held() && try_hit(idx) => TaskStep::Done(()),
+        Claim::Won(guard) => run(guard)(),
+        Claim::Held if try_hit(idx) => TaskStep::Done(()),
+        Claim::Held => {
+            std::thread::sleep(CLAIM_WAIT);
+            TaskStep::Yield(claimed(idx, hash, cache, try_hit, run))
+        }
+    })
 }
 
 /// One boxed slice step: takes the spec's job context, returns either
@@ -741,11 +739,11 @@ type StepFn<'a, O> = Box<dyn FnOnce(&mut JobCtx) -> SliceStep<O> + Send + 'a>;
 /// pool step runs one slice (budget-bounded when the spec supports
 /// slicing, the whole run otherwise), accumulating wall time and slice
 /// count across steps, and reports through `finish` exactly once — on
-/// the completing slice or on the slice that panicked. Panics are
-/// caught *here*, not left to the pool's own capture, because `finish`
-/// must still run for a failed spec: it records the error in the
-/// result slot and advances subscription readiness so reducers learn
-/// about the failure.
+/// the completing slice or on the slice that panicked — then releases
+/// the spec's `claim`. Panics are caught *here*, not left to the pool's
+/// own capture, because `finish` must still run for a failed spec: it
+/// records the error in the result slot and advances subscription
+/// readiness so reducers learn about the failure.
 #[allow(clippy::too_many_arguments)]
 fn slice_chain<'a, O, F>(
     idx: usize,
@@ -754,7 +752,7 @@ fn slice_chain<'a, O, F>(
     budget: u64,
     wall_s: f64,
     slices: u32,
-    cancel: Option<&'a CancelToken>,
+    claim: ClaimGuard,
     finish: &'a F,
 ) -> ResumableTask<'a, ()>
 where
@@ -762,38 +760,31 @@ where
     F: Fn(usize, Result<(O, u64), String>, f64, u32) + Sync,
 {
     Box::new(move || {
-        // The cancellation hook: checked before every slice, so a
-        // cancelled sweep drains in at most one in-flight slice per
-        // worker and queued specs never start at all.
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            finish(idx, Err(CANCELLED.to_string()), wall_s, slices);
-            return TaskStep::Done(());
-        }
         let started = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| step(&mut ctx)));
         let wall_s = wall_s + started.elapsed().as_secs_f64();
         let slices = slices + 1;
-        match out {
-            Err(payload) => {
-                finish(idx, Err(panic_message(payload.as_ref())), wall_s, slices);
-                TaskStep::Done(())
+        let outcome = match out {
+            Err(payload) => Err(panic_message(payload.as_ref())),
+            Ok(SliceStep::Done(out)) => Ok((out, ctx.events_processed())),
+            Ok(SliceStep::Pending(state)) => {
+                return TaskStep::Yield(slice_chain(
+                    idx,
+                    ctx,
+                    Box::new(move |ctx: &mut JobCtx| state.resume(ctx, budget)),
+                    budget,
+                    wall_s,
+                    slices,
+                    claim,
+                    finish,
+                ))
             }
-            Ok(SliceStep::Done(out)) => {
-                let events = ctx.events_processed();
-                finish(idx, Ok((out, events)), wall_s, slices);
-                TaskStep::Done(())
-            }
-            Ok(SliceStep::Pending(state)) => TaskStep::Yield(slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| state.resume(ctx, budget)),
-                budget,
-                wall_s,
-                slices,
-                cancel,
-                finish,
-            )),
-        }
+        };
+        // Store first, then release: a waiter that wins the claim next
+        // re-probes and finds the entry.
+        finish(idx, outcome, wall_s, slices);
+        drop(claim);
+        TaskStep::Done(())
     })
 }
 
@@ -1536,50 +1527,131 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    #[test]
-    fn a_cancelled_run_fails_fast_without_executing_or_caching() {
-        // A pre-cancelled token: no spec may execute, nothing may be
-        // written to the cache, and every slot reports CANCELLED.
-        let plan = Plan::for_experiment("cancel", (0..4).map(|i| toy("cancel", i)).collect());
-        let cache = cache_scratch("cancel");
-        let token = CancelToken::new();
-        token.cancel();
-        let exec = ExecConfig::default().with_cancel(token);
-        let (out, run) = execute(2, &plan, Some(&cache), exec);
-        assert_eq!(run.events, 0, "cancelled specs dispatch no events");
-        assert!(run.timings.is_empty(), "cancelled specs record no cost");
-        for r in outcomes(&out) {
-            assert_eq!(r.unwrap_err(), CANCELLED);
+    /// A cache that reports every claim it finds held, so a test can
+    /// act exactly when the executor is waiting on a claim.
+    struct Watched<'a> {
+        inner: &'a DirCache,
+        held: Mutex<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl OutputCache for Watched<'_> {
+        fn load(&self, hash: u64, key: &str) -> Option<String> {
+            self.inner.load(hash, key)
         }
-        assert!(cache.entries().is_empty(), "cancelled specs never cached");
+        fn store(&self, hash: u64, key: &str, payload: &str) {
+            self.inner.store(hash, key, payload);
+        }
+        fn claim(&self, hash: u64) -> crate::cache::Claim {
+            let claim = self.inner.claim(hash);
+            if matches!(claim, crate::cache::Claim::Held) {
+                let _ = self.held.lock().unwrap().send(());
+            }
+            claim
+        }
+    }
+
+    /// Runs `plan` on two workers while a helper thread (a stand-in for
+    /// another process) holds toy `a`'s claim. Once the executor has
+    /// found the claim held, the helper stores `stored` (when given)
+    /// and releases.
+    fn run_against_held_claim(
+        plan: &Plan<Toy>,
+        cache: &DirCache,
+        stored: Option<&'static str>,
+    ) -> (Vec<Option<SpecResult<Toy>>>, RunStats) {
+        let key = "toy/a/v1";
+        let hash = stable_hash(key);
+        let crate::cache::Claim::Won(guard) = cache.claim(hash) else {
+            panic!("claim on an empty cache must win");
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // `Err` once the run is over without ever waiting.
+                if rx.recv().is_ok() {
+                    if let Some(payload) = stored {
+                        cache.store(hash, key, payload);
+                    }
+                }
+                drop(guard);
+            });
+            let watched = Watched {
+                inner: cache,
+                held: Mutex::new(tx),
+            };
+            execute(2, plan, Some(&watched), ExecConfig::default())
+        })
+    }
+
+    #[test]
+    fn a_live_claim_is_waited_out_and_served_as_a_hit() {
+        let cache = cache_scratch("claim-hit");
+        if !claims_supported(&cache) {
+            return;
+        }
+        let plan = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
+        // The holder stores a payload no execution would produce, so
+        // serving it proves the spec was not executed here.
+        let (results, run) = run_against_held_claim(&plan, &cache, Some("777"));
+        assert_eq!(outcomes(&results), vec![Ok(777), Ok(4)]);
+        assert_eq!(core(&run), stats(1, 1, 2), "only the unclaimed spec ran");
+        assert!(cache.claim_files().is_empty(), "every claim released");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
-    fn a_live_token_cancels_between_slices() {
-        // Cancel from inside the first completing sim: with one worker
-        // the remaining queued sims must fail fast as CANCELLED rather
-        // than execute (their slice chain polls the token on entry).
-        let token = CancelToken::new();
-        let specs: Vec<Sliceable> = (0..6)
-            .map(|i| Sliceable {
-                name: "live",
-                value: i,
-                work: 4,
-            })
-            .collect();
-        let plan = Plan::for_experiment("live", specs);
-        let t = token.clone();
-        let progress = move |_done: usize, _total: usize| t.cancel();
-        let exec = ExecConfig::default().with_cancel(token);
-        let (out, _) = run_plan_cached(&Pool::new(1), 0, &plan, None, None, exec, progress, |_| {});
-        let out = outcomes(&out);
-        let cancelled = out.iter().filter(|r| r.is_err()).count();
-        let finished = out.iter().filter(|r| r.is_ok()).count();
-        assert_eq!(cancelled + finished, out.len());
-        assert!(cancelled >= out.len() - 1, "cancellation did not drain");
-        for r in out.iter().filter(|r| r.is_err()) {
-            assert_eq!(r.as_ref().unwrap_err(), CANCELLED);
+    fn a_claim_released_without_an_entry_is_executed_here() {
+        let cache = cache_scratch("claim-miss");
+        if !claims_supported(&cache) {
+            return;
         }
+        let plan = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
+        let (results, run) = run_against_held_claim(&plan, &cache, None);
+        assert_eq!(outcomes(&results), vec![Ok(2), Ok(4)]);
+        assert_eq!(core(&run), stats(0, 2, 3));
+        assert!(cache.claim_files().is_empty());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A cache where another process stores toy `a`'s entry just
+    /// before this run claims it — after this run's probe missed.
+    struct StoredBeforeClaim<'a>(&'a DirCache);
+
+    impl OutputCache for StoredBeforeClaim<'_> {
+        fn load(&self, hash: u64, key: &str) -> Option<String> {
+            self.0.load(hash, key)
+        }
+        fn store(&self, hash: u64, key: &str, payload: &str) {
+            self.0.store(hash, key, payload);
+        }
+        fn claim(&self, hash: u64) -> crate::cache::Claim {
+            if hash == stable_hash("toy/a/v1") {
+                self.0.store(hash, "toy/a/v1", "777");
+            }
+            self.0.claim(hash)
+        }
+    }
+
+    #[test]
+    fn a_won_claim_re_probes_before_executing() {
+        let cache = cache_scratch("claim-reprobe");
+        if !claims_supported(&cache) {
+            return;
+        }
+        let plan = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
+        let (results, run) = execute(
+            1,
+            &plan,
+            Some(&StoredBeforeClaim(&cache)),
+            ExecConfig::default(),
+        );
+        assert_eq!(outcomes(&results), vec![Ok(777), Ok(4)]);
+        assert_eq!(core(&run), stats(1, 1, 2));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Whether this host supports claim files (they need `/proc`).
+    fn claims_supported(cache: &DirCache) -> bool {
+        matches!(cache.claim(0), crate::cache::Claim::Won(g) if g.is_held())
     }
 }

@@ -1,40 +1,20 @@
-//! Sweep service for the EBRC reproduction: a shard dispatcher with
-//! straggler retries, and a resident daemon that keeps the sim cache
-//! warm across clients.
+//! Shard dispatcher for the EBRC reproduction: split one sweep into `k`
+//! shard worker *processes*, supervise them with per-shard timeouts
+//! and bounded exponential-backoff retries, then fingerprint-check and
+//! auto-merge their artifacts ([`dispatch::supervise`]). Crash
+//! isolation for long paper sweeps — a killed or hung worker costs one
+//! shard retry, not the sweep.
 //!
-//! Two ways to spend a machine on the catalogue:
+//! Concurrent sweeps need no service: processes sharing a cache
+//! directory dedup their work through the cache's claim files (see
+//! `ebrc_runner::cache`).
 //!
-//! - **Dispatch** ([`dispatch::supervise`]): split one sweep into `k`
-//!   shard worker *processes*, supervise them with per-shard timeouts
-//!   and bounded exponential-backoff retries, then fingerprint-check
-//!   and auto-merge their artifacts. Crash isolation for long paper
-//!   sweeps — a killed or hung worker costs one shard retry, not the
-//!   sweep.
-//! - **Serve** ([`service::serve`]): a long-running daemon on TCP or
-//!   a Unix socket speaking length-prefixed JSON ([`frame`],
-//!   [`proto`]). Clients submit plan fingerprints; the daemon dedups
-//!   work across clients through the shared on-disk cache and streams
-//!   reduced tables back. Repeat submissions of a warm plan execute
-//!   zero sims.
-//!
-//! Everything here is `std`-only and experiment-agnostic: the actual
-//! catalogue plugs in through [`backend::SweepBackend`].
+//! Everything here is `std`-only and experiment-agnostic: the caller
+//! supplies the closures that launch a shard and accept its artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod client;
 pub mod dispatch;
-pub mod frame;
-pub mod proto;
-pub mod service;
 
-pub use backend::{EventSink, SweepBackend};
 pub use dispatch::{supervise, DispatchConfig, DispatchEvent, FaultKill, ShardReport};
-pub use ebrc_runner::CancelToken;
-pub use frame::{read_frame, read_value, write_frame, write_value, MAX_FRAME};
-pub use proto::{
-    Event, PlanInfo, ReportChunk, Request, RunSummary, ServiceStats, Submission, TableChunk,
-};
-pub use service::{connect, serve, Conn, ListenAddr};
